@@ -127,6 +127,31 @@ let demo_cmd =
   Cmd.v (Cmd.info "demo" ~doc)
     Term.(const run $ n $ mbits $ dmax_ms $ seconds)
 
+(* Every subcommand builds a configuration file the same way: lower it
+   onto commands and run them through a router's [exec], the path
+   scripts, the daemon and journal replay take. *)
+let load_router file =
+  let ( let* ) = Result.bind in
+  let* cfg = Config.load file in
+  let r = Runtime.Router.create () in
+  let* () = Config.apply cfg ~exec:(Runtime.Router.exec r ~now:0.) in
+  Ok (cfg, r)
+
+(* [simulate] and [control] drive one link: refuse a multi-link file
+   rather than silently drop its later links. *)
+let load_one_link ~subcommand file =
+  match load_router file with
+  | Error e -> Error e
+  | Ok (cfg, r) -> (
+      match Runtime.Router.links r with
+      | [ (_, eng) ] -> Ok (cfg, eng)
+      | links ->
+          Error
+            (Printf.sprintf
+               "%s: %d links; '%s' drives a single link — use 'router' \
+                instead"
+               file (List.length links) subcommand))
+
 let simulate_cmd =
   let doc =
     "Run a simulation described by a configuration file (hierarchy + \
@@ -154,33 +179,35 @@ let simulate_cmd =
       Logs.set_reporter (Logs.format_reporter ());
       Logs.set_level (Some Logs.Debug)
     end;
-    match Config.load file with
+    match load_one_link ~subcommand:"simulate" file with
     | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
+        prerr_endline e;
         1
-    | Ok cfg
-      when Config.link_backend (List.hd cfg.Config.links)
-           <> Config.Hfsc_backend ->
+    | Ok (_, eng)
+      when Runtime.Engine.backend_kind eng <> Runtime.Backend.Hfsc_kind ->
         (* this report is H-FSC vocabulary (rt-bytes, curves); the
            engine-backed subcommands drive any backend *)
         Printf.eprintf
-          "%s: the first link runs the %s backend; 'simulate' reports H-FSC \
-           per-class statistics — use 'control' or 'route' instead\n"
+          "%s: the link runs the %s backend; 'simulate' reports H-FSC \
+           per-class statistics — use 'control' or 'router' instead\n"
           file
-          (Config.backend_name
-             (Config.link_backend (List.hd cfg.Config.links)));
+          (Runtime.Backend.kind_name (Runtime.Engine.backend_kind eng));
         1
-    | Ok cfg ->
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
-        let sched =
-          Netsim.Adapters.of_hfsc cfg.Config.scheduler
-            ~flow_map:cfg.Config.flow_map
+    | Ok (cfg, eng) ->
+        let hfsc = Runtime.Engine.scheduler eng in
+        let link_rate = Runtime.Engine.link_rate eng in
+        (* leaves in file order, as the report lists them *)
+        let flow_map =
+          List.filter_map
+            (fun (_, c) ->
+              match c.Runtime.Command.op with
+              | Runtime.Command.Add_class { name; flow = Some f; _ } ->
+                  Option.map (fun c -> (f, c)) (Hfsc.find_class hfsc name)
+              | _ -> None)
+            cfg.Config.commands
         in
-        let sim =
-          Netsim.Sim.create ~link_rate:cfg.Config.link_rate ~sched ()
-        in
+        let sched = Netsim.Adapters.of_hfsc hfsc ~flow_map in
+        let sim = Netsim.Sim.create ~link_rate ~sched () in
         let recorder = Netsim.Recorder.create () in
         (match trace with
         | Some _ -> Netsim.Recorder.attach recorder sim
@@ -198,7 +225,7 @@ let simulate_cmd =
             | Error e -> Printf.eprintf "trace: %s\n" e)
         | None -> ());
         Printf.printf "link %.2f Mb/s, %.1fs simulated, utilization %.1f%%\n\n"
-          (cfg.Config.link_rate *. 8. /. 1e6)
+          (link_rate *. 8. /. 1e6)
           seconds
           (Netsim.Sim.utilization sim *. 100.);
         Printf.printf "%-12s %-12s %-12s %-12s %-12s %s\n" "class"
@@ -219,7 +246,7 @@ let simulate_cmd =
               (Hfsc.name cls)
               (Printf.sprintf "%.2f Mb/s" rate)
               (Hfsc.realtime_bytes cls) mean mx (Hfsc.drops cls))
-          cfg.Config.flow_map;
+          flow_map;
         0
   in
   Cmd.v (Cmd.info "simulate" ~doc)
@@ -255,23 +282,19 @@ let control_cmd =
            ~doc:"Print the last $(docv) telemetry trace events at the end.")
   in
   let run file script seconds stats_json trace_dump =
-    match Config.load file with
+    match load_one_link ~subcommand:"control" file with
     | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
+        prerr_endline e;
         1
-    | Ok cfg -> (
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
+    | Ok (cfg, eng) -> (
         match Runtime.Command.parse_script_file script with
         | Error { Runtime.Command.line; reason } ->
             Printf.eprintf "%s:%d: %s\n" script line reason;
             1
         | Ok cmds ->
-            let eng = Runtime.Engine.of_config cfg in
             let sim =
-              Netsim.Sim.create ~link_rate:cfg.Config.link_rate
-                ~sched:(Runtime.Engine.adapter eng) ()
+              Netsim.Sim.create ~link_rate:(Runtime.Engine.link_rate eng)
+                ~sched:(Runtime.Engine.to_scheduler eng) ()
             in
             List.iter
               (fun (at, cmd) ->
@@ -298,7 +321,7 @@ let control_cmd =
             Netsim.Sim.run sim ~until:seconds;
             Printf.printf
               "\nlink %.2f Mb/s, %.1fs simulated, utilization %.1f%%\n\n"
-              (cfg.Config.link_rate *. 8. /. 1e6)
+              (Runtime.Engine.link_rate eng *. 8. /. 1e6)
               seconds
               (Netsim.Sim.utilization sim *. 100.);
             (match
@@ -444,12 +467,9 @@ let router_cmd =
   let run file script seconds stats_json domains =
     match Config.load file with
     | Error e ->
-        Printf.eprintf "%s: %s\n" file e;
+        prerr_endline e;
         1
     | Ok cfg -> (
-        List.iter
-          (fun w -> Printf.eprintf "warning: %s\n" w)
-          (Config.validate cfg);
         let cmds =
           match script with
           | None -> Ok []
@@ -468,43 +488,57 @@ let router_cmd =
               1
             end
             else if domains = 1 then
-              let router = Runtime.Router.of_config cfg in
-              drive ~cfg ~cmds ~seconds ~stats_json
-                ~links:
-                  (List.map
-                     (fun (name, eng) ->
-                       ( name,
-                         Runtime.Engine.link_rate eng,
-                         Runtime.Engine.adapter eng ))
-                     (Runtime.Router.links router))
-                ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
-                ~link_of_flow:(Runtime.Router.link_of_flow router)
-                ~stats_text:(fun () -> Runtime.Router.stats_text router)
-                ~stats_doc:(fun () -> Runtime.Router.stats_json router)
-                ~finish:(fun () -> ())
+              let router = Runtime.Router.create () in
+              match
+                Config.apply cfg ~exec:(Runtime.Router.exec router ~now:0.)
+              with
+              | Error e ->
+                  prerr_endline e;
+                  1
+              | Ok () ->
+                  drive ~cfg ~cmds ~seconds ~stats_json
+                    ~links:
+                      (List.map
+                         (fun (name, eng) ->
+                           ( name,
+                             Runtime.Engine.link_rate eng,
+                             Runtime.Engine.to_scheduler eng ))
+                         (Runtime.Router.links router))
+                    ~exec:(fun ~now cmd -> Runtime.Router.exec router ~now cmd)
+                    ~link_of_flow:(Runtime.Router.link_of_flow router)
+                    ~stats_text:(fun () -> Runtime.Router.stats_text router)
+                    ~stats_doc:(fun () -> Runtime.Router.stats_json router)
+                    ~finish:(fun () -> ())
             else
-              let m = Runtime.Mc_router.of_config ~domains cfg in
-              Printf.printf "multicore router: %d links on %d worker domains\n"
-                (Runtime.Mc_router.link_count m)
-                (Runtime.Mc_router.domains m);
-              drive ~cfg ~cmds ~seconds ~stats_json
-                ~links:
-                  (List.map
-                     (fun (l : Config.link) ->
-                       let adapter =
-                         match
-                           Runtime.Mc_router.adapter m ~link:l.Config.lname
-                         with
-                         | Some a -> a
-                         | None -> assert false (* of_config just made it *)
-                       in
-                       (l.Config.lname, l.Config.lrate, adapter))
-                     cfg.Config.links)
-                ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
-                ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
-                ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
-                ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m)
-                ~finish:(fun () -> ignore (Runtime.Mc_router.stop m)))
+              let m = Runtime.Mc_router.create ~domains () in
+              match
+                Config.apply cfg ~exec:(Runtime.Mc_router.exec m ~now:0.)
+              with
+              | Error e ->
+                  ignore (Runtime.Mc_router.stop m);
+                  prerr_endline e;
+                  1
+              | Ok () ->
+                  Printf.printf
+                    "multicore router: %d links on %d worker domains\n"
+                    (Runtime.Mc_router.link_count m)
+                    (Runtime.Mc_router.domains m);
+                  drive ~cfg ~cmds ~seconds ~stats_json
+                    ~links:
+                      (List.filter_map
+                         (fun (_, c) ->
+                           match c.Runtime.Command.op with
+                           | Runtime.Command.Link_add { link; rate; _ } ->
+                               Option.map
+                                 (fun a -> (link, rate, a))
+                                 (Runtime.Mc_router.adapter m ~link)
+                           | _ -> None)
+                         cfg.Config.commands)
+                    ~exec:(fun ~now cmd -> Runtime.Mc_router.exec m ~now cmd)
+                    ~link_of_flow:(Runtime.Mc_router.link_of_flow m)
+                    ~stats_text:(fun () -> Runtime.Mc_router.stats_text m)
+                    ~stats_doc:(fun () -> Runtime.Mc_router.stats_json m)
+                    ~finish:(fun () -> ignore (Runtime.Mc_router.stop m)))
   in
   Cmd.v (Cmd.info "router" ~doc)
     Term.(const run $ file $ script $ seconds $ stats_json $ domains)
@@ -512,7 +546,8 @@ let router_cmd =
 let daemon_cmd =
   let doc =
     "Serve a live control plane on a Unix-domain socket: load a \
-     configuration (every link statement becomes a live H-FSC engine) and \
+     configuration through the command path (a statement admission would \
+     refuse stops the daemon before it serves or writes anything) and \
      answer line-oriented requests — the full command grammar plus ping, \
      audit, stats-json, fingerprint, spill start/stop/status (binary \
      trace spill), quit and shutdown. With --domains N every link's \
@@ -572,14 +607,7 @@ let daemon_cmd =
             "daemon: state directory already holds a checkpoint; ignoring %s\n"
             f;
           Ok None
-      | Some f -> (
-          match Config.load f with
-          | Ok cfg ->
-              List.iter
-                (fun w -> Printf.eprintf "warning: %s\n" w)
-                (Config.validate cfg);
-              Ok (Some cfg)
-          | Error e -> Error (Printf.sprintf "%s: %s" f e))
+      | Some f -> Result.map Option.some (Config.load f)
     in
     match cfg with
     | Error e ->
@@ -588,50 +616,53 @@ let daemon_cmd =
     | Ok _ when domains < 1 ->
         prerr_endline "daemon: --domains must be >= 1";
         1
-    | Ok cfg ->
+    | Ok cfg -> (
         let backend, finish =
           if domains = 1 then
-            let r =
-              match cfg with
-              | Some c -> Runtime.Router.of_config ~audit_every c
-              | None -> Runtime.Router.create ~audit_every ()
-            in
+            let r = Runtime.Router.create ~audit_every () in
             (Runtime.Daemon.backend_of_router r, fun () -> ())
           else
-            let m =
-              match cfg with
-              | Some c -> Runtime.Mc_router.of_config ~audit_every ~domains c
-              | None -> Runtime.Mc_router.create ~audit_every ~domains ()
-            in
+            let m = Runtime.Mc_router.create ~audit_every ~domains () in
             ( Runtime.Daemon.backend_of_mc_router m,
               fun () -> ignore (Runtime.Mc_router.stop m) )
         in
-        Printf.printf "hfsc_sim daemon: %d domain%s, listening on %s%s\n%!"
-          domains
-          (if domains = 1 then "" else "s")
-          socket
-          (match state_dir with
-          | Some d -> Printf.sprintf ", durable state in %s" d
-          | None -> "");
-        Fun.protect ~finally:finish (fun () ->
-            match Runtime.Daemon.run ?durable:state_dir ~socket backend with
-            | Ok info ->
-                (match info with
-                | Some i ->
-                    Printf.printf
-                      "daemon: served generation %d (%d checkpoint + %d \
-                       journal commands recovered%s)\n"
-                      i.Runtime.Daemon.ri_generation i.Runtime.Daemon.ri_checkpoint
-                      i.Runtime.Daemon.ri_tail
-                      (if i.Runtime.Daemon.ri_truncated then
-                         ", torn journal tail discarded"
-                       else "")
-                | None -> ());
-                print_endline "daemon: shutdown";
-                0
-            | Error msg ->
-                Printf.eprintf "daemon: recovery refused: %s\n" msg;
-                1)
+        (* an inadmissible configuration is refused here, before the
+           state directory sees a single write *)
+        match
+          Option.fold cfg ~none:(Ok ()) ~some:(fun c ->
+              Config.apply c ~exec:(backend.Runtime.Daemon.b_exec ~now:0.))
+        with
+        | Error e ->
+            finish ();
+            prerr_endline e;
+            1
+        | Ok () ->
+            Printf.printf "hfsc_sim daemon: %d domain%s, listening on %s%s\n%!"
+              domains
+              (if domains = 1 then "" else "s")
+              socket
+              (match state_dir with
+              | Some d -> Printf.sprintf ", durable state in %s" d
+              | None -> "");
+            Fun.protect ~finally:finish (fun () ->
+                match Runtime.Daemon.run ?durable:state_dir ~socket backend with
+                | Ok info ->
+                    (match info with
+                    | Some i ->
+                        Printf.printf
+                          "daemon: served generation %d (%d checkpoint + %d \
+                           journal commands recovered%s)\n"
+                          i.Runtime.Daemon.ri_generation i.Runtime.Daemon.ri_checkpoint
+                          i.Runtime.Daemon.ri_tail
+                          (if i.Runtime.Daemon.ri_truncated then
+                             ", torn journal tail discarded"
+                           else "")
+                    | None -> ());
+                    print_endline "daemon: shutdown";
+                    0
+                | Error msg ->
+                    Printf.eprintf "daemon: recovery refused: %s\n" msg;
+                    1))
   in
   Cmd.v (Cmd.info "daemon" ~doc)
     Term.(const run $ file $ socket $ domains $ audit_every $ state_dir)

@@ -1,152 +1,29 @@
-type backend = Hfsc_backend | Rr_backend
-
-let backend_name = function Hfsc_backend -> "hfsc" | Rr_backend -> "rr"
-
-type built =
-  | Built_hfsc of Hfsc.t * (int * Hfsc.cls) list
-  | Built_rr of Sched.Hls.t * (int * Sched.Hls.cls) list
-
-type link = { lname : string; lrate : float; lbuilt : built }
-
-let link_backend l =
-  match l.lbuilt with Built_hfsc _ -> Hfsc_backend | Built_rr _ -> Rr_backend
+module Command = Runtime.Command
 
 type t = {
-  scheduler : Hfsc.t;
-  flow_map : (int * Hfsc.cls) list;
+  file : string;
+  commands : (int * Command.t) list;
   sources : until:float -> Netsim.Source.t list;
-  link_rate : float;
-  links : link list;
 }
 
-exception Parse_error of string
+(* [Bad] aborts the statement being read; [parse] pins it to the
+   statement's line as [At]. Line 0 is the file as a whole. *)
+exception Bad of string
+exception At of int * string
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-(* --- token-level parsers -------------------------------------------- *)
-
-let strip_suffix s suffix =
-  if
-    String.length s > String.length suffix
-    && String.sub s (String.length s - String.length suffix) (String.length suffix)
-       = suffix
-  then Some (String.sub s 0 (String.length s - String.length suffix))
-  else None
-
-let float_of_token s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v && v >= 0. -> v
-  | _ -> fail "expected a non-negative number, got %S" s
-
-(* Longest-suffix-first so "MBps" is not misread as "Bps". The value is
-   returned in bytes/second. *)
-let rate_units =
-  [
-    ("GBps", 1e9); ("MBps", 1e6); ("KBps", 1e3); ("Bps", 1.);
-    ("Gbit", 1e9 /. 8.); ("Mbit", 1e6 /. 8.); ("Kbit", 1e3 /. 8.);
-    ("bps", 1. /. 8.); ("bit", 1. /. 8.);
-  ]
-
-let parse_rate_exn s =
-  let rec try_units = function
-    | [] -> fail "rate %S needs a unit (e.g. 45Mbit, 100KBps)" s
-    | (u, mult) :: rest -> (
-        match strip_suffix s u with
-        | Some num -> float_of_token num *. mult
-        | None -> try_units rest)
-  in
-  try_units rate_units
-
-let time_units = [ ("ms", 1e-3); ("us", 1e-6); ("s", 1.) ]
-
-let parse_time_exn s =
-  let rec try_units = function
-    | [] -> fail "time %S needs a unit (e.g. 5ms, 2s)" s
-    | (u, mult) :: rest -> (
-        match strip_suffix s u with
-        | Some num -> float_of_token num *. mult
-        | None -> try_units rest)
-  in
-  try_units time_units
-
-let parse_rate s =
-  try Ok (parse_rate_exn s) with Parse_error e -> Error e
-
-let parse_time s =
-  try Ok (parse_time_exn s) with Parse_error e -> Error e
+let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let get = function Ok v -> v | Error e -> raise (Bad e)
 
 let int_of_token s =
   match int_of_string_opt s with
   | Some v -> v
   | None -> fail "expected an integer, got %S" s
 
-(* --- a tiny token stream --------------------------------------------- *)
+let located ~file ~line code msg =
+  if line > 0 then Printf.sprintf "%s:%d: %s: %s" file line code msg
+  else Printf.sprintf "%s: %s: %s" file code msg
 
-type stream = { mutable toks : string list }
-
-let next st =
-  match st.toks with
-  | [] -> fail "unexpected end of line"
-  | t :: rest ->
-      st.toks <- rest;
-      t
-
-let peek st = match st.toks with [] -> None | t :: _ -> Some t
-let expect st kw =
-  let t = next st in
-  if t <> kw then fail "expected %S, got %S" kw t
-
-(* A curve spec: "RATE", "m1 R d T m2 R" or (rsc only) "umax B dmax T
-   rate R". *)
-let parse_curve st =
-  match peek st with
-  | Some "m1" ->
-      expect st "m1";
-      let m1 = parse_rate_exn (next st) in
-      expect st "d";
-      let d = parse_time_exn (next st) in
-      expect st "m2";
-      let m2 = parse_rate_exn (next st) in
-      Curve.Service_curve.make ~m1 ~d ~m2
-  | Some "umax" ->
-      expect st "umax";
-      let umax = float_of_token (next st) in
-      expect st "dmax";
-      let dmax = parse_time_exn (next st) in
-      expect st "rate";
-      let rate = parse_rate_exn (next st) in
-      Curve.Service_curve.of_requirements ~umax ~dmax ~rate
-  | Some _ -> Curve.Service_curve.linear (parse_rate_exn (next st))
-  | None -> fail "expected a curve specification"
-
-let parse_curve_tokens toks =
-  let st = { toks } in
-  try
-    let c = parse_curve st in
-    Ok (c, st.toks)
-  with
-  | Parse_error e -> Error e
-  | Invalid_argument e -> Error e
-
-(* --- statement parsing ------------------------------------------------ *)
-
-type class_spec = {
-  cname : string;
-  cparent : string;
-  cflow : int option;
-  crsc : Curve.Service_curve.t option;
-  cfsc : Curve.Service_curve.t option;
-  cusc : Curve.Service_curve.t option;
-  cqlimit : int option;
-  cqbytes : int option;
-  cquantum : int option; (* rr backend only *)
-}
-
-type limit_spec = {
-  lpkts : int option;
-  lbytes : int option;
-  lpolicy : Hfsc.drop_policy option;
-}
+(* --- statements ------------------------------------------------------ *)
 
 type source_spec = {
   skind : string;
@@ -163,103 +40,43 @@ type source_spec = {
 }
 
 type stmt =
-  | Link of string option * float * backend
-    (* optional name; None = sole link *)
-  | Class of class_spec
+  | Link of string option * string list  (** name, [rate R [backend B]] *)
+  | Class of string * string * string list  (** name, parent, attributes *)
+  | Limit of string list
   | Source of source_spec
-  | Limit of limit_spec
 
-let parse_class st =
-  let cname = next st in
-  expect st "parent";
-  let cparent = next st in
-  let flow = ref None in
-  let rsc = ref None and fsc = ref None and usc = ref None in
-  let qlimit = ref None and qbytes = ref None in
-  let quantum = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | None -> continue_ := false
-    | Some kw -> (
-        ignore (next st);
-        match kw with
-        | "flow" -> flow := Some (int_of_token (next st))
-        | "qlimit" -> qlimit := Some (int_of_token (next st))
-        | "qbytes" -> qbytes := Some (int_of_token (next st))
-        | "quantum" -> quantum := Some (int_of_token (next st))
-        | "rsc" -> rsc := Some (parse_curve st)
-        | "fsc" -> fsc := Some (parse_curve st)
-        | "ulimit" -> usc := Some (parse_curve st)
-        | other -> fail "unknown class attribute %S" other)
-  done;
-  Class
-    { cname; cparent; cflow = !flow; crsc = !rsc; cfsc = !fsc; cusc = !usc;
-      cqlimit = !qlimit; cqbytes = !qbytes; cquantum = !quantum }
-
-(* "limit [pkts N|none] [bytes N|none] [policy tail|longest]" — the
-   scheduler-wide backlog bound and overflow policy. *)
-let parse_limit st =
-  let bound tok =
-    if tok = "none" then max_int
-    else
-      let n = int_of_token tok in
-      if n <= 0 then fail "limit must be positive, got %d" n;
-      n
-  in
-  let pkts = ref None and bytes = ref None and policy = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | None -> continue_ := false
-    | Some kw -> (
-        ignore (next st);
-        match kw with
-        | "pkts" -> pkts := Some (bound (next st))
-        | "bytes" -> bytes := Some (bound (next st))
-        | "policy" -> (
-            match next st with
-            | "tail" -> policy := Some Hfsc.Tail_drop
-            | "longest" -> policy := Some Hfsc.Drop_longest
-            | other -> fail "unknown drop policy %S (tail|longest)" other)
-        | other -> fail "unknown limit attribute %S" other)
-  done;
-  if !pkts = None && !bytes = None && !policy = None then
-    fail "limit: expected at least one of pkts/bytes/policy";
-  Limit { lpkts = !pkts; lbytes = !bytes; lpolicy = !policy }
-
-let parse_source st =
-  let skind = next st in
-  let flow = ref None and rate = ref None and pkt = ref None in
+let parse_source toks =
+  let flow = ref None and rate = ref 0. and pkt = ref 0 in
   let seed = ref None and on = ref None and off = ref None in
   let count = ref None and at = ref None in
   let start = ref 0. and stop = ref None in
-  let continue_ = ref true in
-  while !continue_ do
-    match peek st with
-    | None -> continue_ := false
-    | Some kw -> (
-        ignore (next st);
-        match kw with
-        | "flow" -> flow := Some (int_of_token (next st))
-        | "rate" -> rate := Some (parse_rate_exn (next st))
-        | "pkt" -> pkt := Some (int_of_token (next st))
-        | "seed" -> seed := Some (int_of_token (next st))
-        | "on" -> on := Some (parse_time_exn (next st))
-        | "off" -> off := Some (parse_time_exn (next st))
-        | "count" -> count := Some (int_of_token (next st))
-        | "at" -> at := Some (parse_time_exn (next st))
-        | "start" -> start := parse_time_exn (next st)
-        | "stop" -> stop := Some (parse_time_exn (next st))
-        | other -> fail "unknown source attribute %S" other)
-  done;
-  let req name = function Some v -> v | None -> fail "source needs %s" name in
-  Source
+  let time v = get (Command.parse_time v) in
+  let rec attrs = function
+    | [] -> ()
+    | [ kw ] -> fail "source attribute %S needs a value" kw
+    | kw :: v :: rest ->
+        (match kw with
+        | "flow" -> flow := Some (int_of_token v)
+        | "rate" -> rate := get (Command.parse_rate v)
+        | "pkt" -> pkt := int_of_token v
+        | "seed" -> seed := Some (int_of_token v)
+        | "on" -> on := Some (time v)
+        | "off" -> off := Some (time v)
+        | "count" -> count := Some (int_of_token v)
+        | "at" -> at := Some (time v)
+        | "start" -> start := time v
+        | "stop" -> stop := Some (time v)
+        | other -> fail "unknown source attribute %S" other);
+        attrs rest
+  in
+  let skind = match toks with k :: _ -> k | [] -> fail "source needs a kind" in
+  attrs (List.tl toks);
+  let s =
     {
       skind;
-      sflow = req "flow" !flow;
-      srate = (match !rate with Some r -> r | None -> 0.);
-      spkt = (match !pkt with Some p -> p | None -> 0);
+      sflow = (match !flow with Some f -> f | None -> fail "source needs flow");
+      srate = !rate;
+      spkt = !pkt;
       sseed = !seed;
       son = !on;
       soff = !off;
@@ -268,408 +85,163 @@ let parse_source st =
       sstart = !start;
       sstop = !stop;
     }
+  in
+  (match skind with
+  | "cbr" | "greedy" ->
+      if s.srate <= 0. || s.spkt <= 0 then
+        fail "%s source needs rate and pkt" skind
+  | "poisson" ->
+      if s.srate <= 0. || s.spkt <= 0 || s.sseed = None then
+        fail "poisson source needs rate, pkt and seed"
+  | "onoff" ->
+      if
+        s.srate <= 0. || s.spkt <= 0 || s.sseed = None || s.son = None
+        || s.soff = None
+      then fail "onoff source needs rate, pkt, on, off and seed"
+  | "burst" ->
+      if s.spkt <= 0 || s.scount = None then
+        fail "burst source needs pkt and count"
+  | other -> fail "unknown source kind %S" other);
+  s
 
-let parse_line line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let toks =
-    String.split_on_char ' ' line
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> s <> "")
-  in
-  match toks with
+let make_source ~until s =
+  let stop = Option.value s.sstop ~default:until in
+  match s.skind with
+  | "cbr" | "greedy" ->
+      Netsim.Source.cbr ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
+        ~start:s.sstart ~stop ()
+  | "poisson" ->
+      Netsim.Source.poisson ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
+        ~seed:(Option.get s.sseed) ~start:s.sstart ~stop ()
+  | "onoff" ->
+      Netsim.Source.on_off_exp ~flow:s.sflow ~peak_rate:s.srate
+        ~pkt_size:s.spkt ~mean_on:(Option.get s.son)
+        ~mean_off:(Option.get s.soff) ~seed:(Option.get s.sseed)
+        ~start:s.sstart ~stop ()
+  | _ (* burst *) ->
+      Netsim.Source.burst ~flow:s.sflow ~pkt_size:s.spkt
+        ~count:(Option.get s.scount)
+        ~at:(Option.value s.sat ~default:s.sstart)
+
+let parse_statement line =
+  match Command.tokenize line with
   | [] -> None
-  | kw :: rest -> (
-      let st = { toks = rest } in
-      match kw with
-      | "link" ->
-          let name =
-            match peek st with
-            | Some "rate" -> None
-            | Some n ->
-                ignore (next st);
-                Some n
-            | None -> fail "link: expected [NAME] rate RATE [backend hfsc|rr]"
-          in
-          expect st "rate";
-          let r = parse_rate_exn (next st) in
-          let backend =
-            match peek st with
-            | Some "backend" -> (
-                ignore (next st);
-                match next st with
-                | "hfsc" -> Hfsc_backend
-                | "rr" -> Rr_backend
-                | other -> fail "unknown backend %S (hfsc|rr)" other)
-            | _ -> Hfsc_backend
-          in
-          if peek st <> None then fail "trailing tokens after link statement";
-          Some (Link (name, r, backend))
-      | "class" -> Some (parse_class st)
-      | "source" -> Some (parse_source st)
-      | "limit" -> Some (parse_limit st)
-      | other -> fail "unknown statement %S" other)
+  | "link" :: "rate" :: _ as toks -> Some (Link (None, List.tl toks))
+  | "link" :: name :: toks -> Some (Link (Some name, toks))
+  | [ "link" ] -> fail "link: expected [NAME] rate RATE [backend hfsc|rr]"
+  | "class" :: name :: "parent" :: parent :: attrs ->
+      Some (Class (name, parent, attrs))
+  | "class" :: _ -> fail "class: expected NAME parent PARENT"
+  | "limit" :: toks -> Some (Limit toks)
+  | "source" :: toks -> Some (Source (parse_source toks))
+  | kw :: _ -> fail "unknown statement %S" kw
 
-(* --- assembling the scheduler ---------------------------------------- *)
+(* --- lowering onto commands ------------------------------------------ *)
 
-(* One link under construction. Schedulers are created bare and limits
-   applied through the setters so the one-link and N-link paths share
-   the same code. The sched side is backend-discriminated; flow lists
-   are kept reversed. *)
-type bsched =
-  | Bs_hfsc of
-      Hfsc.t * (string, Hfsc.cls) Hashtbl.t * (int * Hfsc.cls) list ref
-  | Bs_rr of
-      Sched.Hls.t
-      * (string, Sched.Hls.cls) Hashtbl.t
-      * (int * Sched.Hls.cls) list ref
-
-type builder = {
-  bname : string;
-  brate : float;
-  bs : bsched;
-  mutable blimit : bool;
-}
-
-let reserved_link_names = [ "add"; "delete"; "list" ]
-
-let new_builder ~name ~rate ~backend =
-  if rate <= 0. then fail "link rate must be positive";
-  if List.mem name reserved_link_names then
-    fail "link name %S is reserved (a control-command verb)" name;
-  let bs =
-    match backend with
-    | Hfsc_backend ->
-        let sched = Hfsc.create ~link_rate:rate () in
-        let classes = Hashtbl.create 16 in
-        Hashtbl.replace classes "root" (Hfsc.root sched);
-        Bs_hfsc (sched, classes, ref [])
-    | Rr_backend ->
-        let sched = Sched.Hls.create () in
-        let classes = Hashtbl.create 16 in
-        Hashtbl.replace classes "root" (Sched.Hls.root sched);
-        Bs_rr (sched, classes, ref [])
+(* [stmts] are (line, statement) in file order. A sole link statement
+   is hoisted to the front, so a one-link file reads in any order; with
+   several, class and limit statements bind to the most recent link
+   statement. *)
+let lower stmts =
+  let stmts =
+    match List.filter (function _, Link _ -> true | _ -> false) stmts with
+    | [] -> raise (At (0, "missing 'link rate ...' statement"))
+    | [ link ] -> link :: List.filter (fun s -> s != link) stmts
+    | _ -> stmts
   in
-  { bname = name; brate = rate; bs; blimit = false }
-
-(* [flows_global]: flow ids are device-wide, one leaf anywhere. *)
-let apply_class b ~flows_global (c : class_spec) =
-  let note_flow add =
-    match c.cflow with
-    | Some flow ->
-        if Hashtbl.mem flows_global flow then fail "flow %d mapped twice" flow;
-        Hashtbl.replace flows_global flow ();
-        add flow
-    | None -> ()
+  let current = ref None and limited = ref false in
+  let link () =
+    match !current with
+    | Some name -> name
+    | None -> fail "statement before any 'link' statement"
   in
-  match b.bs with
-  | Bs_hfsc (sched, classes, flows) ->
-      if c.cquantum <> None then
-        fail "class %S: quantum applies to rr-backend links" c.cname;
-      if Hashtbl.mem classes c.cname then fail "duplicate class %S" c.cname;
-      let parent =
-        match Hashtbl.find_opt classes c.cparent with
-        | Some p -> p
-        | None -> fail "class %S: unknown parent %S" c.cname c.cparent
-      in
-      let cls =
-        try
-          Hfsc.add_class sched ~parent ~name:c.cname ?rsc:c.crsc ?fsc:c.cfsc
-            ?usc:c.cusc ?qlimit:c.cqlimit ?qlimit_bytes:c.cqbytes ()
-        with Invalid_argument e -> fail "class %S: %s" c.cname e
-      in
-      Hashtbl.replace classes c.cname cls;
-      note_flow (fun flow -> flows := (flow, cls) :: !flows)
-  | Bs_rr (sched, classes, flows) ->
-      if c.crsc <> None || c.cfsc <> None || c.cusc <> None then
-        fail
-          "class %S: service curves apply to hfsc-backend links (rr classes \
-           take quantum)"
-          c.cname;
-      if Hashtbl.mem classes c.cname then fail "duplicate class %S" c.cname;
-      let parent =
-        match Hashtbl.find_opt classes c.cparent with
-        | Some p -> p
-        | None -> fail "class %S: unknown parent %S" c.cname c.cparent
-      in
-      let cls =
-        try
-          Sched.Hls.add_class sched ~parent ~name:c.cname ?quantum:c.cquantum
-            ?qlimit_pkts:c.cqlimit ?qlimit_bytes:c.cqbytes ()
-        with Invalid_argument e -> fail "class %S: %s" c.cname e
-      in
-      Hashtbl.replace classes c.cname cls;
-      note_flow (fun flow -> flows := (flow, cls) :: !flows)
-
-let apply_limit b (l : limit_spec) =
-  if b.blimit then fail "duplicate 'limit' statement";
-  b.blimit <- true;
-  match b.bs with
-  | Bs_hfsc (sched, _, _) -> (
-      Hfsc.set_aggregate_limit sched ?pkts:l.lpkts ?bytes:l.lbytes ();
-      match l.lpolicy with
-      | Some p -> Hfsc.set_drop_policy sched p
-      | None -> ())
-  | Bs_rr (sched, _, _) -> (
-      Sched.Hls.set_aggregate_limit sched ?pkts:l.lpkts ?bytes:l.lbytes ();
-      match l.lpolicy with
-      | Some Hfsc.Tail_drop -> Sched.Hls.set_drop_policy sched Sched.Hls.Tail_drop
-      | Some Hfsc.Drop_longest ->
-          Sched.Hls.set_drop_policy sched Sched.Hls.Drop_longest
-      | None -> ())
-
-let build stmts =
-  let n_links =
-    List.length (List.filter (function Link _ -> true | _ -> false) stmts)
-  in
-  let flows_global = Hashtbl.create 16 in
-  let builders =
-    if n_links = 0 then fail "missing 'link rate ...' statement"
-    else if n_links = 1 then begin
-      (* sole link: keep the historical order-insensitive semantics —
-         classes may precede the link statement *)
-      let name, rate, backend =
-        match
-          List.filter_map
-            (function Link (n, r, bk) -> Some (n, r, bk) | _ -> None)
-            stmts
-        with
-        | [ (n, r, bk) ] -> (Option.value n ~default:"link0", r, bk)
-        | _ -> assert false
-      in
-      let b = new_builder ~name ~rate ~backend in
-      List.iter
-        (function
-          | Class c -> apply_class b ~flows_global c
-          | Limit l -> apply_limit b l
-          | Link _ | Source _ -> ())
-        stmts;
-      [ b ]
-    end
-    else begin
-      (* several links: sections — class and limit statements bind to
-         the most recent link statement *)
-      let names = Hashtbl.create 4 in
-      let current = ref None and acc = ref [] in
-      List.iter
-        (function
-          | Link (name, rate, backend) ->
-              let name =
-                match name with
-                | Some n -> n
-                | None ->
-                    if !current = None then "link0"
-                    else
-                      fail
-                        "duplicate 'link' statement: every link after the \
-                         first needs a name"
-              in
-              if Hashtbl.mem names name then
-                fail "duplicate link name %S" name;
-              Hashtbl.replace names name ();
-              let b = new_builder ~name ~rate ~backend in
-              current := Some b;
-              acc := b :: !acc
-          | Class c -> (
-              match !current with
-              | Some b -> apply_class b ~flows_global c
-              | None -> fail "class %S before any 'link' statement" c.cname)
-          | Limit l -> (
-              match !current with
-              | Some b -> apply_limit b l
-              | None -> fail "'limit' before any 'link' statement")
-          | Source _ -> ())
-        stmts;
-      List.rev !acc
-    end
-  in
-  let builder_flows b =
-    match b.bs with
-    | Bs_hfsc (_, _, flows) -> List.rev_map fst !flows
-    | Bs_rr (_, _, flows) -> List.rev_map fst !flows
-  in
-  let union_flow_ids = List.concat_map builder_flows builders in
-  let source_specs =
-    List.filter_map (function Source s -> Some s | _ -> None) stmts
-  in
-  (* validate sources now so errors surface at parse time; sources are
-     device-wide and may feed a flow on any link *)
-  List.iter
-    (fun s ->
-      if not (List.mem s.sflow union_flow_ids) then
-        fail "source refers to unmapped flow %d" s.sflow;
-      match s.skind with
-      | "cbr" | "greedy" ->
-          if s.srate <= 0. || s.spkt <= 0 then
-            fail "%s source needs rate and pkt" s.skind
-      | "poisson" ->
-          if s.srate <= 0. || s.spkt <= 0 || s.sseed = None then
-            fail "poisson source needs rate, pkt and seed"
-      | "onoff" ->
-          if
-            s.srate <= 0. || s.spkt <= 0 || s.sseed = None || s.son = None
-            || s.soff = None
-          then fail "onoff source needs rate, pkt, on, off and seed"
-      | "burst" ->
-          if s.spkt <= 0 || s.scount = None then
-            fail "burst source needs pkt and count"
-      | other -> fail "unknown source kind %S" other)
-    source_specs;
-  let sources ~until =
-    List.map
-      (fun s ->
-        let stop = match s.sstop with Some v -> v | None -> until in
-        match s.skind with
-        | "cbr" | "greedy" ->
-            Netsim.Source.cbr ~flow:s.sflow ~rate:s.srate ~pkt_size:s.spkt
-              ~start:s.sstart ~stop ()
-        | "poisson" ->
-            Netsim.Source.poisson ~flow:s.sflow ~rate:s.srate
-              ~pkt_size:s.spkt
-              ~seed:(Option.get s.sseed)
-              ~start:s.sstart ~stop ()
-        | "onoff" ->
-            Netsim.Source.on_off_exp ~flow:s.sflow ~peak_rate:s.srate
-              ~pkt_size:s.spkt
-              ~mean_on:(Option.get s.son)
-              ~mean_off:(Option.get s.soff)
-              ~seed:(Option.get s.sseed)
-              ~start:s.sstart ~stop ()
-        | "burst" ->
-            Netsim.Source.burst ~flow:s.sflow ~pkt_size:s.spkt
-              ~count:(Option.get s.scount)
-              ~at:(match s.sat with Some v -> v | None -> s.sstart)
-        | _ -> assert false)
-      source_specs
-  in
-  let links =
-    List.map
-      (fun b ->
-        let lbuilt =
-          match b.bs with
-          | Bs_hfsc (sched, _, flows) -> Built_hfsc (sched, List.rev !flows)
-          | Bs_rr (sched, _, flows) -> Built_rr (sched, List.rev !flows)
+  let lower_one = function
+    | Link (name, toks) ->
+        let name =
+          match (name, !current) with
+          | Some n, _ -> n
+          | None, None -> "link0"
+          | None, Some _ ->
+              fail
+                "duplicate 'link' statement: every link after the first \
+                 needs a name"
         in
-        { lname = b.bname; lrate = b.brate; lbuilt })
-      builders
+        current := Some name;
+        limited := false;
+        Some (get (Command.of_tokens ("link" :: "add" :: name :: toks)))
+    | Class (name, parent, attrs) ->
+        let target = Command.On_link (link ()) in
+        let op = get (Command.add_class ~name ~parent attrs) in
+        Some { Command.target; op }
+    | Limit toks ->
+        let l = link () in
+        if !limited then fail "duplicate 'limit' statement";
+        limited := true;
+        Some (get (Command.of_tokens ("link" :: l :: "limit" :: toks)))
+    | Source _ -> None
   in
-  let first = List.hd links in
-  (* [scheduler]/[flow_map] keep the historical hfsc view of the first
-     link; an rr-first configuration gets an empty placeholder — its
-     consumers go through [links]/[lbuilt] instead. *)
-  let scheduler, flow_map =
-    match first.lbuilt with
-    | Built_hfsc (sched, flows) -> (sched, flows)
-    | Built_rr _ -> (Hfsc.create ~link_rate:first.lrate (), [])
-  in
-  { scheduler; flow_map; sources; link_rate = first.lrate; links }
+  List.filter_map
+    (fun (line, stmt) ->
+      match lower_one stmt with
+      | cmd -> Option.map (fun c -> (line, c)) cmd
+      | exception Bad e -> raise (At (line, e)))
+    stmts
 
-let validate t =
-  let warnings = ref [] in
-  let multi = List.length t.links > 1 in
-  List.iter
-    (fun l ->
-      let warn fmt =
-        Printf.ksprintf
-          (fun s ->
-            warnings :=
-              (if multi then Printf.sprintf "link %S: %s" l.lname s else s)
-              :: !warnings)
-          fmt
-      in
-      match l.lbuilt with
-      | Built_rr (sched, _) ->
-          (* no admission math to check — warn only when a round of
-             service outgrows the control-plane bound *)
-          List.iter
-            (fun c ->
-              if
-                (not (Sched.Hls.is_leaf c))
-                && Sched.Hls.quantum_sum_under c > Sched.Hls.max_round_bytes
-              then
-                warn "children of class %S exceed the per-round service bound"
-                  (Sched.Hls.name c))
-            (Sched.Hls.classes sched)
-      | Built_hfsc (sched, _) ->
-          let classes = Hfsc.classes sched in
-          let leaf_rscs =
-            List.filter_map
-              (fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
-              classes
-          in
-          if
-            leaf_rscs <> []
-            && not (Analysis.Admission.admissible ~link_rate:l.lrate leaf_rscs)
-          then
-            warn
-              "real-time curves are not admissible on the link \
-               (oversubscribed by %.0f bytes worst-case): guarantees will \
-               not hold"
-              (Analysis.Admission.excess ~link_rate:l.lrate leaf_rscs);
-          List.iter
-            (fun c ->
-              match (Hfsc.fsc c, Hfsc.children c) with
-              | Some parent_fsc, (_ :: _ as children) ->
-                  let child_fscs = List.filter_map Hfsc.fsc children in
-                  if
-                    List.length child_fscs = List.length children
-                    && not
-                         (Analysis.Admission.hierarchy_consistent
-                            ~parent:parent_fsc child_fscs)
-                  then
-                    warn "children of class %S outgrow its fair service curve"
-                      (Hfsc.name c)
-              | _ -> ())
-            classes)
-    t.links;
-  let sourced_flows =
-    List.map (fun s -> Netsim.Source.flow s) (t.sources ~until:1.)
-  in
-  List.iter
-    (fun l ->
-      let flows =
-        match l.lbuilt with
-        | Built_hfsc (_, fm) ->
-            List.map (fun (f, c) -> (f, Hfsc.name c)) fm
-        | Built_rr (_, fm) ->
-            List.map (fun (f, c) -> (f, Sched.Hls.name c)) fm
-      in
-      List.iter
-        (fun (flow, cname) ->
-          if not (List.mem flow sourced_flows) then
-            warnings :=
-              Printf.sprintf "%sclass %S (flow %d) has no traffic source"
-                (if multi then Printf.sprintf "link %S: " l.lname else "")
-                cname flow
-              :: !warnings)
-        flows)
-    t.links;
-  List.rev !warnings
-
-let parse text =
+let parse ?(file = "-") text =
   try
     let stmts =
       String.split_on_char '\n' text
-      |> List.mapi (fun i line -> (i + 1, line))
-      |> List.filter_map (fun (n, line) ->
-             try Option.map (fun s -> (n, s)) (parse_line line)
-             with Parse_error e -> raise (Parse_error (Printf.sprintf "line %d: %s" n e)))
+      |> List.mapi (fun i line ->
+             match parse_statement line with
+             | s -> Option.map (fun s -> (i + 1, s)) s
+             | exception Bad e -> raise (At (i + 1, e)))
+      |> List.filter_map Fun.id
     in
-    Ok (build (List.map snd stmts))
-  with Parse_error e -> Error e
+    let commands = lower stmts in
+    let mapped =
+      List.filter_map
+        (function
+          | _, { Command.op = Command.Add_class { flow; _ }; _ } -> flow
+          | _ -> None)
+        commands
+    in
+    let specs =
+      List.filter_map
+        (function line, Source s -> Some (line, s) | _ -> None)
+        stmts
+    in
+    (* sources are device-wide and may feed a flow on any link *)
+    List.iter
+      (fun (line, s) ->
+        if not (List.mem s.sflow mapped) then
+          let msg = Printf.sprintf "source refers to unmapped flow %d" s.sflow in
+          raise (At (line, msg)))
+      specs;
+    let sources ~until = List.map (fun (_, s) -> make_source ~until s) specs in
+    Ok { file; commands; sources }
+  with At (line, msg) ->
+    Error
+      (located ~file ~line
+         (Runtime.Engine.error_code_name Runtime.Engine.Parse_error)
+         msg)
 
 let load path =
   match
-    try
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-    with Sys_error e -> Error e
+    In_channel.with_open_bin path In_channel.input_all
   with
-  | Ok text -> parse text
-  | Error e -> Error e
+  | text -> parse ~file:path text
+  | exception Sys_error e -> Error e
+
+let apply t ~exec =
+  let rec go = function
+    | [] -> Ok ()
+    | (line, cmd) :: rest -> (
+        match exec cmd with
+        | Ok _ -> go rest
+        | Error { Runtime.Engine.code; message } ->
+            Error
+              (located ~file:t.file ~line
+                 (Runtime.Engine.error_code_name code)
+                 message))
+  in
+  go t.commands

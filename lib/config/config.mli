@@ -2,10 +2,18 @@
     moral equivalent of altq.conf, plus traffic sources so a whole
     simulation is one file (see [bin/hfsc_sim.exe simulate]).
 
+    A configuration is not a second way to build a hierarchy: each
+    statement {e lowers} onto a {!Runtime.Command.t}, and {!apply} runs
+    those commands through the caller's [exec] — the same path scripts,
+    the daemon and journal replay take. A statement the control plane
+    would refuse (an over-committed real-time or link-sharing curve, a
+    duplicate class or flow, an unknown parent) is therefore refused
+    here too, with the engine's typed code and the statement's line;
+    nothing is built that a restart could not rebuild.
+
     Line-oriented; [#] starts a comment; keywords and key/value pairs
-    are whitespace-separated. Rates accept [bps]/[Kbit]/[Mbit]/[Gbit]
-    (decimal multipliers, bits per second) or [Bps]/[KBps]/[MBps]
-    (bytes); times accept [s]/[ms]/[us]; sizes are bytes.
+    are whitespace-separated. Rates, times and curves use the command
+    grammar's tokens ({!Runtime.Command}); sizes are bytes.
 
     {v
     # a 45 Mbit link shared by two departments
@@ -29,107 +37,54 @@
     source onoff  flow 4 rate 40Mbit pkt 1000 on 500ms off 500ms seed 7
     v}
 
-    Class syntax: [class NAME parent PARENT (flow N)? CURVES...
-    (qlimit N)? (qbytes N)?] — [qlimit]/[qbytes] bound the leaf's queue
-    in packets/bytes — where each curve is one of
-    - [rsc umax BYTES dmax TIME rate RATE] — the Fig. 7 mapping;
-    - [rsc m1 RATE d TIME m2 RATE] — explicit two-piece curve;
-    - [fsc RATE] or [fsc m1 RATE d TIME m2 RATE] — link-sharing curve;
-    - [ulimit RATE] or [ulimit m1 RATE d TIME m2 RATE] — upper limit.
-    A class with a [flow] is a leaf fed by that flow id.
+    Statements and the commands they lower onto:
+    - [link [NAME] rate RATE [backend hfsc|rr]] becomes
+      [link add NAME rate RATE ...]. An anonymous link is named
+      ["link0"]; every later link needs a name, and [add]/[delete]/
+      [list] are reserved.
+    - [class NAME parent PARENT ATTRS] becomes
+      [link L add class NAME parent PARENT ATTRS], with the attributes
+      of the command grammar: [flow N], [rsc CURVE], [fsc CURVE],
+      [ulimit CURVE], [quantum BYTES] (rr links, default
+      {!Sched.Hls.default_quantum}), [qlimit N], [qbytes N].
+    - [limit (pkts N|none)? (bytes N|none)? (policy tail|longest)?]
+      (at most one per link) becomes [link L limit ...].
+    - [source KIND flow N rate RATE pkt BYTES ...] stays data that only
+      the simulator reads. KIND is one of [cbr], [poisson] (needs
+      [seed]), [onoff] (needs [on]/[off]/[seed]), [greedy] (alias of
+      cbr), [burst] (needs [count] and [at]); all accept
+      [start]/[stop]. Sources are device-wide and may feed a flow on
+      any link.
 
-    A link statement may end with [backend hfsc|rr] (default [hfsc]).
-    On an [rr] link classes take no curves; instead an optional
-    [quantum BYTES] sets the deficit-round-robin share (default
-    {!Sched.Hls.default_quantum}). [qlimit]/[qbytes] work on both
-    backends; curve clauses on an rr link (or [quantum] on an hfsc
-    link) are parse errors.
-
-    Source syntax: [source KIND flow N rate RATE pkt BYTES ...] with
-    KIND one of [cbr], [poisson] (needs [seed]), [onoff] (needs
-    [on]/[off]/[seed]), [greedy] (alias of cbr), [burst] (needs
-    [count] and [at]); all accept [start]/[stop].
-
-    Limit syntax (at most one statement):
-    [limit (pkts N|none)? (bytes N|none)? (policy tail|longest)?] —
-    the scheduler-wide backlog bound and the drop policy applied when
-    an arrival would exceed it ([tail] refuses the arrival, [longest]
-    evicts from the longest leaf queue). *)
-
-type backend = Hfsc_backend | Rr_backend
-(** Which engine a link runs: the paper's H-FSC (default) or the
-    O(1) hierarchical round-robin scale tier ({!Sched.Hls}). Selected
-    per link with [link NAME rate RATE backend rr]. *)
-
-val backend_name : backend -> string
-(** ["hfsc"] / ["rr"] — the grammar's spelling. *)
-
-type built =
-  | Built_hfsc of Hfsc.t * (int * Hfsc.cls) list
-  | Built_rr of Sched.Hls.t * (int * Sched.Hls.cls) list
-      (** A link's scheduler plus its flow→leaf map, discriminated by
-          backend. *)
-
-type link = {
-  lname : string;  (** "link0" when the sole link is anonymous *)
-  lrate : float;  (** bytes/second *)
-  lbuilt : built;
-}
-(** One configured link: its own scheduler, its own flow map.
-
-    {b Multi-link files} ([Runtime.Router.of_config]): each link gets
-    its own [link NAME rate RATE] statement, and the class and limit
-    statements that follow bind to the most recent link — the file
-    reads as sections. The first link may stay anonymous (it is named
-    ["link0"]); every later one needs a name, and [add]/[delete]/[list]
-    are reserved. Flow ids are device-wide: each may map to a leaf on
-    at most one link. Sources are device-wide too and may feed any
-    link's flows. A file with a single link keeps the historical
-    order-insensitive semantics (classes may precede the link
-    statement). *)
-
-val link_backend : link -> backend
+    A file with a single link statement reads in any order: the link
+    is hoisted to the front. With several, the class and limit
+    statements that follow a link statement bind to it, so the file
+    reads as sections. Flow ids are device-wide: each may map to a
+    leaf on at most one link. *)
 
 type t = {
-  scheduler : Hfsc.t;  (** the first link's scheduler *)
-  flow_map : (int * Hfsc.cls) list;  (** the first link's flow map *)
+  file : string;  (** where the text came from, for error locations *)
+  commands : (int * Runtime.Command.t) list;
+      (** the lowered statements with their 1-based line numbers, in
+          execution order *)
   sources : until:float -> Netsim.Source.t list;
       (** instantiate fresh sources, capping open-ended ones at
           [until] *)
-  link_rate : float;  (** the first link's rate, bytes/second *)
-  links : link list;  (** all links, in file order *)
 }
-(** [scheduler]/[flow_map]/[link_rate] mirror [List.hd links] so every
-    single-link consumer keeps working unchanged — when that link runs
-    the hfsc backend. An rr-first configuration leaves [scheduler] as
-    an empty placeholder and [flow_map] empty; such consumers must go
-    through [links]/[lbuilt]. *)
 
-val parse : string -> (t, string) result
-(** Parse configuration text; errors carry a line number. *)
+val parse : ?file:string -> string -> (t, string) result
+(** Read and lower configuration text ([file] defaults to ["-"]).
+    Errors read [FILE:LINE: parse-error: message] ([FILE: ...] for the
+    file as a whole, e.g. a missing link statement). *)
 
 val load : string -> (t, string) result
-(** [parse] the contents of a file. *)
+(** {!parse} the contents of a file. *)
 
-val validate : t -> string list
-(** Sanity warnings for a parsed configuration (empty = clean):
-    - the leaf real-time curves fail the SCED admission test on the
-      link (Section II: sum of curves must fit under [R t]);
-    - some interior class's children's fair curves exceed its own;
-    - a leaf class's flow has no source. Warnings, not errors — the
-      scheduler still runs, but guarantees may not hold. *)
-
-val parse_rate : string -> (float, string) result
-(** Parse a rate token to bytes/second (exposed for tests and the
-    CLI). *)
-
-val parse_time : string -> (float, string) result
-(** Parse a time token to seconds. *)
-
-val parse_curve_tokens :
-  string list -> (Curve.Service_curve.t * string list, string) result
-(** Parse one curve specification from the front of a token list,
-    returning the curve and the remaining tokens. Accepts the same
-    three forms as class statements: a bare [RATE], [m1 R d T m2 R],
-    or [umax B dmax T rate R] (Fig. 7). Exposed so the runtime control
-    plane's command language shares this grammar. *)
+val apply :
+  t ->
+  exec:(Runtime.Command.t -> (string, Runtime.Engine.error) result) ->
+  (unit, string) result
+(** Run the lowered commands through [exec] in order — typically
+    [Runtime.Router.exec r ~now:0.] or the multicore router's — and
+    stop at the first refusal, reported as [FILE:LINE: CODE: message]
+    with CODE the engine's typed code (e.g. [admission-realtime]). *)

@@ -86,7 +86,7 @@ let run () =
     | None -> 0
   in
   let sim =
-    Netsim.Sim.create ~link_rate:link ~sched:(Runtime.Engine.adapter eng) ()
+    Netsim.Sim.create ~link_rate:link ~sched:(Runtime.Engine.to_scheduler eng) ()
   in
   List.iter
     (Netsim.Sim.add_source sim)

@@ -168,8 +168,8 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
               link = link_name i;
               rate = link_rate;
               backend =
-                (if rr_link ~links i then Config.Rr_backend
-                 else Config.Hfsc_backend);
+                (if rr_link ~links i then Runtime.Backend.Rr_kind
+                 else Runtime.Backend.Hfsc_kind);
             } }
   done;
   (* permanent leaves: 80% of each link committed to fair shares (the
@@ -227,7 +227,7 @@ let run ?(links = 3) ?(flows_per_link = 4) ?(seconds = 1.0) ?(seed = 7)
     match (seq_router, mc_router) with
     | Some r, _ ->
         List.map
-          (fun (name, eng) -> (name, Engine.link_rate eng, Engine.adapter eng))
+          (fun (name, eng) -> (name, Engine.link_rate eng, Engine.to_scheduler eng))
           (Router.links r)
     | _, Some m ->
         List.map

@@ -65,8 +65,8 @@ type cls_fs = {
 }
 
 (* Per-class state. The eligible/deadline tree over the leaves and each
-   interior class's active-children virtual-time tree are *intrusive*
-   (Ds.Ed_itree / Ds.Vt_itree): their node fields — child links, cached
+   interior class's active-children virtual-time tree are *intrusive*:
+   their node fields — child links, cached
    height, cached aggregate — are embedded right here in the class
    record, and [actc_root] is the in-class root of this class's own
    active-children tree. Tree restructuring therefore allocates nothing
@@ -178,16 +178,15 @@ let nil =
 
 (* --- specialized intrusive tree operations ------------------------- *)
 
-(* Same algorithms as {!Ds.Intrusive_tree} / {!Ds.Ed_itree} /
-   {!Ds.Vt_itree} — which remain the generic, differential-tested
-   reference — hand-specialized over the [cls] fields. Without flambda
-   a call through a functor argument is never inlined, so the generic
-   functor costs about a dozen indirect calls per tree level on the
-   per-packet path; the NetBSD implementation specializes its intrusive
-   trees with macros for the same reason. Here every accessor is a
-   direct field load and the small helpers inline within this unit.
-   Equivalence with the generic modules is enforced by the tree- and
-   scheduler-level differential tests (test_hfsc_diff). *)
+(* The AVL algorithms of {!Ds.Ed_tree} / {!Ds.Vt_tree}, made intrusive
+   and hand-specialized over the [cls] fields. Without flambda a call
+   through a functor argument is never inlined, so a generic functor
+   costs about a dozen indirect calls per tree level on the per-packet
+   path; the NetBSD implementation specializes its intrusive trees with
+   macros for the same reason. Here every accessor is a direct field
+   load and the small helpers inline within this unit. Equivalence with
+   the persistent trees is enforced by the scheduler-level differential
+   against [Hfsc_ref], which rides them (test_hfsc_diff). *)
 
 (* Eligible/deadline tree over the leaves: an AVL tree keyed by
    (e, id), each node caching in [ed_agg] the subtree element of

@@ -663,7 +663,3 @@ let of_hls ~link_rate sched =
     backlog_bytes = (fun () -> Hls.backlog_bytes sched);
     audit = (fun () -> Hls.audit sched);
   }
-
-let of_config_built ~link_rate = function
-  | Config.Built_hfsc (sched, _) -> of_hfsc ~link_rate sched
-  | Config.Built_rr (sched, _) -> of_hls ~link_rate sched

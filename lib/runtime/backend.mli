@@ -186,6 +186,3 @@ val of_hfsc : link_rate:float -> Hfsc.t -> t
 val of_hls : link_rate:float -> Sched.Hls.t -> t
 (** The O(1) hierarchical round-robin scale tier over the record:
     sum-of-quanta admission, every packet served as link-sharing. *)
-
-val of_config_built : link_rate:float -> Config.built -> t
-(** Wrap a parsed link's scheduler, whichever backend it runs. *)

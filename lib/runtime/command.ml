@@ -45,7 +45,7 @@ type op =
       lbytes : limit_val option;
       lpolicy : limit_policy option;
     }
-  | Link_add of { link : string; rate : float; backend : Config.backend }
+  | Link_add of { link : string; rate : float; backend : Backend.kind }
   | Link_delete of string
   | Link_list
 
@@ -61,13 +61,78 @@ let int_tok s =
   | Some v -> v
   | None -> fail "expected an integer, got %S" s
 
-let rate_tok s =
-  match Config.parse_rate s with Ok v -> v | Error e -> fail "%s" e
+(* --- rates, times, curves -------------------------------------------- *)
 
+let strip_suffix s suffix =
+  let ls = String.length s and lx = String.length suffix in
+  if ls > lx && String.sub s (ls - lx) lx = suffix then
+    Some (String.sub s 0 (ls - lx))
+  else None
+
+let float_tok s =
+  match float_of_string_opt s with
+  | Some v when Float.is_finite v && v >= 0. -> v
+  | _ -> fail "expected a non-negative number, got %S" s
+
+(* Longest-suffix-first so "MBps" is not misread as "Bps". Rates come
+   out in bytes/second, times in seconds. *)
+let rate_units =
+  [
+    ("GBps", 1e9); ("MBps", 1e6); ("KBps", 1e3); ("Bps", 1.);
+    ("Gbit", 1e9 /. 8.); ("Mbit", 1e6 /. 8.); ("Kbit", 1e3 /. 8.);
+    ("bps", 1. /. 8.); ("bit", 1. /. 8.);
+  ]
+
+let time_units = [ ("ms", 1e-3); ("us", 1e-6); ("s", 1.) ]
+
+let with_unit ~what ~example units s =
+  let rec go = function
+    | [] -> fail "%s %S needs a unit (e.g. %s)" what s example
+    | (u, mult) :: rest -> (
+        match strip_suffix s u with
+        | Some num -> float_tok num *. mult
+        | None -> go rest)
+  in
+  go units
+
+let rate_tok = with_unit ~what:"rate" ~example:"45Mbit, 100KBps" rate_units
+let unit_time_tok = with_unit ~what:"time" ~example:"5ms, 2s" time_units
+
+let catch f s = try Ok (f s) with Err e -> Error e
+let parse_rate = catch rate_tok
+let parse_time = catch unit_time_tok
+
+let expect kw = function
+  | t :: rest when t = kw -> rest
+  | t :: _ -> fail "expected %S, got %S" kw t
+  | [] -> fail "expected %S, got end of line" kw
+
+let one = function
+  | t :: rest -> (t, rest)
+  | [] -> fail "unexpected end of line"
+
+(* A curve spec at the front of [toks]: "RATE", "m1 R d T m2 R" or
+   "umax B dmax T rate R" (Fig. 7); returns the curve and the rest. *)
 let curve toks =
-  match Config.parse_curve_tokens toks with
-  | Ok (c, rest) -> (c, rest)
-  | Error e -> fail "%s" e
+  let keyed kw parse toks =
+    let v, rest = one (expect kw toks) in
+    (parse v, rest)
+  in
+  try
+    match toks with
+    | "m1" :: _ ->
+        let m1, rest = keyed "m1" rate_tok toks in
+        let d, rest = keyed "d" unit_time_tok rest in
+        let m2, rest = keyed "m2" rate_tok rest in
+        (Curve.Service_curve.make ~m1 ~d ~m2, rest)
+    | "umax" :: _ ->
+        let umax, rest = keyed "umax" float_tok toks in
+        let dmax, rest = keyed "dmax" unit_time_tok rest in
+        let rate, rest = keyed "rate" rate_tok rest in
+        (Curve.Service_curve.of_requirements ~umax ~dmax ~rate, rest)
+    | r :: rest -> (Curve.Service_curve.linear (rate_tok r), rest)
+    | [] -> fail "expected a curve specification"
+  with Invalid_argument e -> fail "%s" e
 
 let no_curves = { rsc = None; fsc = None; usc = None }
 
@@ -144,15 +209,20 @@ let rec filter_attrs f = function
       filter_attrs { f with fdport = Some (int_tok lo, int_tok hi) } rest
   | kw :: _ -> fail "unknown filter attribute %S" kw
 
+let add_class_op ~name ~parent toks =
+  let curves, flow, quantum, qlimit, qbytes =
+    class_attrs ~allow_flow:true (no_curves, None, None, None, None) toks
+  in
+  Add_class { name; parent; flow; curves; quantum; qlimit; qbytes }
+
 (* An operation with no [link ...] addressing in front of it. *)
 let parse_op_tokens = function
-  | "add" :: "class" :: name :: "parent" :: parent :: rest ->
-      let curves, flow, quantum, qlimit, qbytes =
-        class_attrs ~allow_flow:true (no_curves, None, None, None, None) rest
-      in
-      if curves.rsc = None && curves.fsc = None && quantum = None then
-        fail "class %S needs an rsc or an fsc" name;
-      Add_class { name; parent; flow; curves; quantum; qlimit; qbytes }
+  | "add" :: "class" :: name :: "parent" :: parent :: rest -> (
+      match add_class_op ~name ~parent rest with
+      | Add_class { curves = { rsc = None; fsc = None; _ }; quantum = None; _ }
+        ->
+          fail "class %S needs an rsc or an fsc" name
+      | op -> op)
   | "add" :: "class" :: _ -> fail "add class: expected NAME parent PARENT"
   | "modify" :: "class" :: name :: rest ->
       let curves, _, quantum, qlimit, qbytes =
@@ -199,25 +269,19 @@ let parse_op_tokens = function
    scope, then the classic unscoped grammar. *)
 let parse_tokens = function
   | "link" :: "add" :: rest -> (
+      let link_add name r backend =
+        {
+          target = Default_link;
+          op = Link_add { link = name; rate = rate_tok r; backend };
+        }
+      in
       match rest with
-      | [ name; "rate"; r ] ->
-          {
-            target = Default_link;
-            op =
-              Link_add
-                { link = name; rate = rate_tok r; backend = Config.Hfsc_backend };
-          }
-      | [ name; "rate"; r; "backend"; b ] ->
-          let backend =
-            match b with
-            | "hfsc" -> Config.Hfsc_backend
-            | "rr" -> Config.Rr_backend
-            | other -> fail "unknown backend %S (hfsc|rr)" other
-          in
-          {
-            target = Default_link;
-            op = Link_add { link = name; rate = rate_tok r; backend };
-          }
+      | [ name; "rate"; r ] -> link_add name r Backend.Hfsc_kind
+      | [ name; "rate"; r; "backend"; "hfsc" ] ->
+          link_add name r Backend.Hfsc_kind
+      | [ name; "rate"; r; "backend"; "rr" ] -> link_add name r Backend.Rr_kind
+      | [ _; "rate"; _; "backend"; other ] ->
+          fail "unknown backend %S (hfsc|rr)" other
       | _ -> fail "link add: expected NAME rate RATE [backend hfsc|rr]")
   | "link" :: "delete" :: rest -> (
       match rest with
@@ -245,13 +309,16 @@ let tokenize line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
+let of_tokens toks = catch parse_tokens toks
+let add_class ~name ~parent toks = catch (add_class_op ~name ~parent) toks
+
 let parse s =
   match tokenize s with
   | [] -> Error "empty command"
-  | toks -> ( try Ok (parse_tokens toks) with Err e -> Error e)
+  | toks -> of_tokens toks
 
 let time_tok s =
-  match Config.parse_time s with
+  match parse_time s with
   | Ok v -> v
   | Error _ -> (
       (* also accept bare seconds, the convenient form in scripts *)
@@ -387,8 +454,8 @@ let pp_op ppf = function
   | Link_add { link; rate; backend } ->
       Format.fprintf ppf "link add %s rate %a" link pp_rate rate;
       (match backend with
-      | Config.Hfsc_backend -> ()
-      | Config.Rr_backend -> Format.fprintf ppf " backend rr")
+      | Backend.Hfsc_kind -> ()
+      | Backend.Rr_kind -> Format.fprintf ppf " backend rr")
   | Link_delete name -> Format.fprintf ppf "link delete %s" name
   | Link_list -> Format.fprintf ppf "link list"
 

@@ -1,11 +1,15 @@
 (** The control plane's command language — the moral equivalent of
-    [tc class add/change/del] / altq's runtime interface, sharing
-    lib/config's rate, time and curve grammar.
+    [tc class add/change/del] / altq's runtime interface. Configuration
+    files are lowered onto it statement by statement, so this module
+    holds the one copy of the rate, time, curve, class-attribute and
+    limit grammar.
 
     One command per line; [#] starts a comment; tokens are
-    whitespace-separated. Curves use exactly the class-statement forms
-    of {!Config}: a bare [RATE], [m1 RATE d TIME m2 RATE], or
-    [umax BYTES dmax TIME rate RATE].
+    whitespace-separated. Rates accept [bps]/[Kbit]/[Mbit]/[Gbit]
+    (decimal multipliers, bits per second) or [Bps]/[KBps]/[MBps]
+    (bytes); times accept [s]/[ms]/[us]. A curve is a bare [RATE],
+    [m1 RATE d TIME m2 RATE], or [umax BYTES dmax TIME rate RATE] (the
+    Fig. 7 mapping).
 
     {b Addressing.} Every command is a {!t}: an operation {!op} plus a
     {!target} naming the link it applies to. A command with no [link]
@@ -106,7 +110,7 @@ type op =
       lbytes : limit_val option;
       lpolicy : limit_policy option;
     }
-  | Link_add of { link : string; rate : float; backend : Config.backend }
+  | Link_add of { link : string; rate : float; backend : Backend.kind }
       (** [link add NAME rate RATE [backend hfsc|rr]]; [rate] in
           bytes/second; the backend defaults to hfsc and is fixed for
           the link's lifetime *)
@@ -122,6 +126,27 @@ type error = { line : int; reason : string }
 
 val parse : string -> (t, string) result
 (** Parse a single command (no [at] prefix, no comment handling). *)
+
+val tokenize : string -> string list
+(** Split a line into tokens: [#] starts a comment, spaces and tabs
+    separate. *)
+
+val of_tokens : string list -> (t, string) result
+(** {!parse} on an already-tokenized line. *)
+
+val add_class :
+  name:string -> parent:string -> string list -> (op, string) result
+(** [add class NAME parent PARENT ATTRS] from its attribute tokens,
+    without {!parse}'s insistence on an rsc, an fsc or a quantum: a
+    configuration file leaves that to the link's backend, where an rr
+    class takes the default quantum and a curve-less hfsc class is
+    refused. *)
+
+val parse_rate : string -> (float, string) result
+(** A rate token in bytes/second. *)
+
+val parse_time : string -> (float, string) result
+(** A unit-suffixed time token in seconds. *)
 
 val parse_script : string -> ((float * t) list, error) result
 (** Parse a whole script; commands are returned in file order with

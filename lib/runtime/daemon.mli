@@ -60,8 +60,7 @@
 
 (** What the daemon needs from a control plane. The record mirrors
     {!Router_core.ops} one level up: anything with these operations can
-    be served — the sequential router, the multicore router, or a bare
-    engine. *)
+    be served — the sequential router or the multicore router. *)
 type backend = {
   b_exec : now:float -> Command.t -> (string, Engine.error) result;
   b_stats_json : unit -> Json_lite.t;
@@ -80,9 +79,6 @@ type backend = {
 
 val backend_of_router : Router.t -> backend
 val backend_of_mc_router : Mc_router.t -> backend
-
-val backend_of_engine : link_name:string -> Engine.t -> backend
-(** A single-link backend over a bare engine (no router verbs). *)
 
 type t
 

@@ -85,25 +85,14 @@ let create ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map ()
   let flow_map = List.map (fun (f, cls) -> (f, Hfsc.id cls)) flow_map in
   create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map ()
 
-let create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map
-    () =
-  let be = Backend.of_hls ~link_rate sched in
-  let flow_map = List.map (fun (f, cls) -> (f, Sched.Hls.id cls)) flow_map in
-  create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map ()
-
-let of_built ?trace_capacity ?tracing ?audit_every ~link_rate built =
-  match (built : Config.built) with
-  | Config.Built_hfsc (sched, flow_map) ->
-      create ?trace_capacity ?tracing ?audit_every ~link_rate sched ~flow_map
-        ()
-  | Config.Built_rr (sched, flow_map) ->
-      create_rr ?trace_capacity ?tracing ?audit_every ~link_rate sched
-        ~flow_map ()
-
-let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
-  let first = List.hd cfg.Config.links in
-  of_built ?trace_capacity ?tracing ?audit_every
-    ~link_rate:first.Config.lrate first.Config.lbuilt
+let create_empty ?trace_capacity ?tracing ?audit_every ~link_rate
+    (kind : Backend.kind) =
+  let be =
+    match kind with
+    | Hfsc_kind -> Backend.of_hfsc ~link_rate (Hfsc.create ~link_rate ())
+    | Rr_kind -> Backend.of_hls ~link_rate (Sched.Hls.create ())
+  in
+  create_backend ?trace_capacity ?tracing ?audit_every be ~flow_map:[] ()
 
 let backend t = t.be
 let backend_kind t = t.be.Backend.kind
@@ -684,5 +673,3 @@ let to_scheduler t =
     backlog_pkts = (fun () -> t.be.Backend.backlog_pkts ());
     backlog_bytes = (fun () -> t.be.Backend.backlog_bytes ());
   }
-
-let adapter = to_scheduler

@@ -114,17 +114,6 @@ val create :
     operation. Installs the scheduler's drop hook, so every drop is
     counted in {!Telemetry} against the class that lost the packet. *)
 
-val create_rr :
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?audit_every:int ->
-  link_rate:float ->
-  Sched.Hls.t ->
-  flow_map:(int * Sched.Hls.cls) list ->
-  unit ->
-  t
-(** {!create} for the round-robin backend. *)
-
 val create_backend :
   ?trace_capacity:int ->
   ?tracing:bool ->
@@ -133,21 +122,18 @@ val create_backend :
   flow_map:(int * int) list ->
   unit ->
   t
-(** The general form both of the above reduce to: wrap any backend,
-    with the flow map given in dense class ids. *)
+(** The general form {!create} reduces to: wrap any backend, with the
+    flow map given in dense class ids. *)
 
-val of_built :
+val create_empty :
   ?trace_capacity:int ->
   ?tracing:bool ->
   ?audit_every:int ->
   link_rate:float ->
-  Config.built ->
+  Backend.kind ->
   t
-(** Wrap one parsed link's scheduler, whichever backend it runs. *)
-
-val of_config :
-  ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> Config.t -> t
-(** {!of_built} on the config's first link. *)
+(** A fresh link with only its root class, running the given backend —
+    what a router's [link add] creates. *)
 
 val backend : t -> Backend.t
 val backend_kind : t -> Backend.kind
@@ -302,9 +288,6 @@ val to_scheduler : t -> Sched.Scheduler.t
     over the backend interface, replacing the per-scheduler ad-hoc
     wrappers. Batched polls go through the backend's native
     [deq_fill]. *)
-
-val adapter : t -> Sched.Scheduler.t
-(** Alias of {!to_scheduler} (the historical name). *)
 
 (** {2 Exporters} *)
 

@@ -119,7 +119,7 @@ let dummy_deq =
 type port = {
   p_name : string;
   p_rate : float; (* remembered so a downed link can still report it *)
-  p_backend : Config.backend; (* likewise *)
+  p_backend : Backend.kind; (* likewise *)
   p_eng : Engine.t; (* worker-owned between attach and stop *)
   p_in : msg Ring.t;
   p_out : deq Ring.t;
@@ -193,10 +193,7 @@ let serve_query eng q =
       R_info
         {
           Router_core.i_rate = Engine.link_rate eng;
-          i_backend =
-            (match Engine.backend_kind eng with
-            | Backend.Hfsc_kind -> Config.Hfsc_backend
-            | Backend.Rr_kind -> Config.Rr_backend);
+          i_backend = Engine.backend_kind eng;
           i_classes = List.length (Engine.class_ids eng);
           i_flows = List.length (Engine.flows eng);
           i_backlog_pkts = Engine.backlog_pkts eng;
@@ -543,8 +540,6 @@ type t = {
   core : port Router_core.t;
   workers : worker array;
   mutable running : bool;
-  attach : string -> float -> Config.backend -> Engine.t -> port;
-      (* round-robin worker pick *)
 }
 
 let create ?trace_capacity ?tracing ?audit_every ?(ring_capacity = 1024)
@@ -559,7 +554,14 @@ let create ?trace_capacity ?tracing ?audit_every ?(ring_capacity = 1024)
     (fun w -> w.w_domain <- Some (Domain.spawn (fun () -> worker_run w)))
     workers;
   let next = ref 0 in
-  let attach name link_rate backend eng =
+  let make_port ~name ~link_rate ~backend =
+    (* built on this domain, handed to the round-robin-picked worker
+       through the admin ring's release/acquire publication before any
+       use *)
+    let eng =
+      Engine.create_empty ?trace_capacity ?tracing ?audit_every ~link_rate
+        backend
+    in
     let w = workers.(!next mod domains) in
     incr next;
     let p =
@@ -582,46 +584,11 @@ let create ?trace_capacity ?tracing ?audit_every ?(ring_capacity = 1024)
     worker_notify w;
     p
   in
-  let make_port ~name ~link_rate ~backend =
-    let eng =
-      match backend with
-      | Config.Hfsc_backend ->
-          let sched = Hfsc.create ~link_rate () in
-          Engine.create ?trace_capacity ?tracing ?audit_every ~link_rate sched
-            ~flow_map:[] ()
-      | Config.Rr_backend ->
-          let sched = Sched.Hls.create () in
-          Engine.create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
-            sched ~flow_map:[] ()
-    in
-    attach name link_rate backend eng
-  in
   let core = Router_core.create ~ops:mc_ops ~make_port () in
-  { core; workers; running = true; attach }
-
-let of_config ?trace_capacity ?tracing ?audit_every ?ring_capacity ?out_capacity
-    ~domains (cfg : Config.t) =
-  let t =
-    create ?trace_capacity ?tracing ?audit_every ?ring_capacity ?out_capacity
-      ~domains ()
-  in
-  List.iter
-    (fun (l : Config.link) ->
-      let eng =
-        Engine.of_built ?trace_capacity ?tracing ?audit_every
-          ~link_rate:l.Config.lrate l.Config.lbuilt
-      in
-      (* built on this domain, handed to the worker through the admin
-         ring's release/acquire publication before any use *)
-      let p = t.attach l.Config.lname l.Config.lrate (Config.link_backend l) eng in
-      t.core.Router_core.links <- t.core.Router_core.links @ [ (l.Config.lname, p) ];
-      Router_core.resync_flows t.core l.Config.lname p)
-    cfg.Config.links;
-  Router_core.rebuild_shard t.core;
-  t
+  { core; workers; running = true }
 
 let domains t = Array.length t.workers
-let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
+let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
   Router_core.add_link t.core ~name ~link_rate ~backend
 let link_names t = List.map fst t.core.Router_core.links
 let link_count t = Router_core.link_count t.core
@@ -821,7 +788,7 @@ let adapter t ~link =
       in
       Some
         {
-          Sched.Scheduler.name = Config.backend_name p.p_backend;
+          Sched.Scheduler.name = Backend.kind_name p.p_backend;
           dequeue_many = Some dequeue_many;
           enqueue =
             (fun ~now pkt ->

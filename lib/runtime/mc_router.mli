@@ -63,21 +63,9 @@ val create :
 
     @raise Invalid_argument if [domains < 1]. *)
 
-val of_config :
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?audit_every:int ->
-  ?ring_capacity:int ->
-  ?out_capacity:int ->
-  domains:int ->
-  Config.t ->
-  t
-(** One link per [link] statement, in file order, as
-    {!Router.of_config}. *)
-
 val domains : t -> int
 val add_link :
-  ?backend:Config.backend ->
+  ?backend:Backend.kind ->
   t ->
   name:string ->
   link_rate:float ->

@@ -17,10 +17,7 @@ let seq_ops : Engine.t Router_core.ops =
       (fun eng ->
         {
           Router_core.i_rate = Engine.link_rate eng;
-          i_backend =
-            (match Engine.backend_kind eng with
-            | Backend.Hfsc_kind -> Config.Hfsc_backend
-            | Backend.Rr_kind -> Config.Rr_backend);
+          i_backend = Engine.backend_kind eng;
           i_classes = List.length (Engine.class_ids eng);
           i_flows = List.length (Engine.flows eng);
           i_backlog_pkts = Engine.backlog_pkts eng;
@@ -36,33 +33,12 @@ let seq_ops : Engine.t Router_core.ops =
 
 let create ?trace_capacity ?tracing ?audit_every () =
   let make_port ~name:_ ~link_rate ~backend =
-    match backend with
-    | Config.Hfsc_backend ->
-        let sched = Hfsc.create ~link_rate () in
-        Engine.create ?trace_capacity ?tracing ?audit_every ~link_rate sched
-          ~flow_map:[] ()
-    | Config.Rr_backend ->
-        let sched = Sched.Hls.create () in
-        Engine.create_rr ?trace_capacity ?tracing ?audit_every ~link_rate
-          sched ~flow_map:[] ()
+    Engine.create_empty ?trace_capacity ?tracing ?audit_every ~link_rate
+      backend
   in
   Router_core.create ~ops:seq_ops ~make_port ()
 
-let of_config ?trace_capacity ?tracing ?audit_every (cfg : Config.t) =
-  let t = create ?trace_capacity ?tracing ?audit_every () in
-  List.iter
-    (fun (l : Config.link) ->
-      let eng =
-        Engine.of_built ?trace_capacity ?tracing ?audit_every
-          ~link_rate:l.Config.lrate l.Config.lbuilt
-      in
-      t.Router_core.links <- t.Router_core.links @ [ (l.Config.lname, eng) ];
-      Router_core.resync_flows t l.Config.lname eng)
-    cfg.Config.links;
-  Router_core.rebuild_shard t;
-  t
-
-let add_link ?(backend = Config.Hfsc_backend) t ~name ~link_rate =
+let add_link ?(backend = Backend.Hfsc_kind) t ~name ~link_rate =
   Router_core.add_link t ~name ~link_rate ~backend
 let links = Router_core.links
 let find_link = Router_core.find_link

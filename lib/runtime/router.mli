@@ -49,13 +49,8 @@ val create :
     applied to every engine the router creates, including links added
     later via [link add]. *)
 
-val of_config :
-  ?trace_capacity:int -> ?tracing:bool -> ?audit_every:int -> Config.t -> t
-(** One link per [link] statement of the configuration, in file
-    order. *)
-
 val add_link :
-  ?backend:Config.backend ->
+  ?backend:Backend.kind ->
   t ->
   name:string ->
   link_rate:float ->
@@ -64,7 +59,8 @@ val add_link :
     given rate in bytes/second, running [backend] (default hfsc; the
     backend is fixed for the link's lifetime). Fails with
     {!Engine.Duplicate_link} on a name collision and {!Engine.Bad_value}
-    on a non-positive rate. This is what the [link add] command
+    on a non-positive rate or a reserved name ([add], [delete],
+    [list]). This is what the [link add] command
     calls. *)
 
 val links : t -> (string * Engine.t) list

@@ -16,7 +16,7 @@
 (* What [link list] needs to print about one link. *)
 type info = {
   i_rate : float;
-  i_backend : Config.backend;
+  i_backend : Backend.kind;
   i_classes : int;
   i_flows : int;
   i_backlog_pkts : int;
@@ -52,7 +52,7 @@ type 'p t = {
   flow_links : (int, string * 'p) Hashtbl.t;
   mutable shard : string Classify.Shard.t;
   ops : 'p ops;
-  make_port : name:string -> link_rate:float -> backend:Config.backend -> 'p;
+  make_port : name:string -> link_rate:float -> backend:Backend.kind -> 'p;
 }
 
 let errf code fmt =
@@ -92,10 +92,16 @@ let resync_flows t name port =
     (fun f -> Hashtbl.replace t.flow_links f (name, port))
     (t.ops.op_flows port)
 
+(* The router verbs: a link so named could not be addressed by a
+   scoped command, nor could its checkpoint be replayed. *)
+let reserved_link_names = [ "add"; "delete"; "list" ]
+
 let add_link t ~name ~link_rate ~backend =
   let* () =
     match find_link t name with
     | Some _ -> errf Engine.Duplicate_link "link %S already exists" name
+    | None when List.mem name reserved_link_names ->
+        errf Engine.Bad_value "link name %S is reserved (a router verb)" name
     | None -> Ok ()
   in
   let* () =
@@ -109,8 +115,8 @@ let add_link t ~name ~link_rate ~backend =
   Ok
     (Printf.sprintf "added link %S (rate %.0f B/s%s, %d link%s)" name link_rate
        (match backend with
-       | Config.Hfsc_backend -> ""
-       | Config.Rr_backend -> " backend rr")
+       | Backend.Hfsc_kind -> ""
+       | Backend.Rr_kind -> " backend rr")
        (link_count t)
        (if link_count t > 1 then "s" else ""))
 
@@ -152,8 +158,8 @@ let link_list t =
                   "%-12s rate %.0f B/s%s  classes %d  flows %d  backlog %d/%d"
                   name i.i_rate
                   (match i.i_backend with
-                  | Config.Hfsc_backend -> ""
-                  | Config.Rr_backend -> " backend rr")
+                  | Backend.Hfsc_kind -> ""
+                  | Backend.Rr_kind -> " backend rr")
                   i.i_classes i.i_flows i.i_backlog_pkts i.i_backlog_bytes)
               ls))
 

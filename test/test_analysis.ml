@@ -186,50 +186,6 @@ let test_multihop_validation () =
        false
      with Invalid_argument _ -> true)
 
-(* --- feasibility (Section III-C) ----------------------------------------- *)
-
-let test_feasibility_common_activation () =
-  (* all classes from t=0: reduces to the SCED admission condition *)
-  let c1 = Sc.make ~m1:7e5 ~d:1. ~m2:1e5 in
-  let c2 = Sc.make ~m1:3e5 ~d:1. ~m2:9e5 in
-  Alcotest.(check bool) "tight set feasible" true
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (c1, 0.); (c2, 0.) ]);
-  let c3 = Sc.make ~m1:8e5 ~d:1. ~m2:1e5 in
-  Alcotest.(check bool) "oversubscribed infeasible" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (c3, 0.); (c2, 0.) ])
-
-let test_feasibility_staggered_bursts () =
-  (* the Fig. 3 phenomenon: two concave bursts that fit together from a
-     common origin collide when staggered so the second burst lands on
-     the first one's tail... here both need their m1 simultaneously *)
-  let burst = Sc.make ~m1:6e5 ~d:1. ~m2:1e5 in
-  (* together from 0: 1.2e6 > 1e6 — infeasible *)
-  Alcotest.(check bool) "simultaneous bursts infeasible" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (burst, 0.); (burst, 0.) ]);
-  (* staggered by more than the burst length: feasible *)
-  Alcotest.(check bool) "well-staggered feasible" true
-    (Analysis.Feasibility.feasible ~link_rate:1e6 [ (burst, 0.); (burst, 2.) ]);
-  (* staggered but overlapping: the overlap window overloads *)
-  match
-    Analysis.Feasibility.overload ~link_rate:1e6 [ (burst, 0.); (burst, 0.5) ]
-  with
-  | Some (t, dem, cap) ->
-      Alcotest.(check bool) "window in the overlap" true (t > 0.5 && t <= 1.5);
-      Alcotest.(check bool) "demand exceeds capacity" true (dem > cap)
-  | None -> Alcotest.fail "expected overload"
-
-let test_feasibility_rate_overload () =
-  (* long-run rates exceed the link: infinite-horizon infeasibility *)
-  Alcotest.(check bool) "rates too big" false
-    (Analysis.Feasibility.feasible ~link_rate:1e6
-       [ (Sc.linear 6e5, 0.); (Sc.linear 6e5, 3.) ])
-
-let test_demand_shape () =
-  let s = Sc.linear 100. in
-  let d = Analysis.Feasibility.demand [ (s, 0.); (s, 1.) ] in
-  Alcotest.(check (float 1e-9)) "before second activation" 50. (P.eval d 0.5);
-  Alcotest.(check (float 1e-9)) "after" 300. (P.eval d 2.)
-
 (* --- fairness metrics ----------------------------------------------------- *)
 
 let test_jain () =
@@ -300,16 +256,6 @@ let () =
             test_multihop_pay_bursts_once;
           Alcotest.test_case "convexify" `Quick test_multihop_convexify;
           Alcotest.test_case "validation" `Quick test_multihop_validation;
-        ] );
-      ( "feasibility",
-        [
-          Alcotest.test_case "common activation = admission" `Quick
-            test_feasibility_common_activation;
-          Alcotest.test_case "staggered bursts" `Quick
-            test_feasibility_staggered_bursts;
-          Alcotest.test_case "rate overload" `Quick
-            test_feasibility_rate_overload;
-          Alcotest.test_case "demand shape" `Quick test_demand_shape;
         ] );
       ( "fairness",
         [

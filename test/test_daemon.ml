@@ -3,8 +3,9 @@
    filters, stats, trace dump, deliberate rejections, spill enabled —
    must produce reply bodies and final engine fingerprints bit-identical
    to the same command stream replayed offline through
-   Engine.exec_script / Router.exec_script, for a bare engine, the
-   sequential router, and the multicore router (--domains N). Plus the
+   Engine.exec_script / Router.exec_script, for a one-link router
+   against a bare engine, the sequential router, and the multicore
+   router (--domains N). Plus the
    wire protocol's own corners and the runtest-sized soak slice. *)
 
 module C = Runtime.Command
@@ -106,6 +107,17 @@ let mk_engine () =
   E.create ~link_rate:(1.25e6) (Hfsc.create ~link_rate:1.25e6 ()) ~flow_map:[]
     ()
 
+(* the daemon serves routers only; a one-link router answers unscoped
+   commands exactly as a bare engine does *)
+let mk_router () =
+  let r = R.create () in
+  match R.add_link r ~name:"link0" ~link_rate:1.25e6 with
+  | Ok _ -> r
+  | Error e -> Alcotest.fail (E.error_message e)
+
+let sole_engine r =
+  match R.links r with [ (_, eng) ] -> eng | _ -> Alcotest.fail "one link"
+
 let test_engine_session () =
   let cmds = parse_script engine_script in
   let reference = mk_engine () in
@@ -114,17 +126,14 @@ let test_engine_session () =
       (fun (_, _, outcome) -> expected_of outcome)
       (E.exec_script ~lenient:true reference cmds)
   in
-  let live = mk_engine () in
+  let live = mk_router () in
   let spill = temp ".trace" in
-  let got =
-    run_session ~spill (D.backend_of_engine ~link_name:"link0" live)
-      engine_script
-  in
+  let got = run_session ~spill (D.backend_of_router live) engine_script in
   check_replies ~what:"engine" expected got;
   Alcotest.(check string)
     "final engine state bit-identical"
     (Hfsc_gen.engine_fingerprint reference)
-    (Hfsc_gen.engine_fingerprint live);
+    (Hfsc_gen.engine_fingerprint (sole_engine live));
   (* spill was enabled for the whole session: the file must be a valid
      trace (command-only sessions move no packets, so it may be empty) *)
   (match L.read_file spill with
@@ -190,11 +199,9 @@ let test_mc_router_session () =
 (* --- wire protocol corners ------------------------------------------- *)
 
 let test_meta_verbs () =
-  let live = mk_engine () in
   let socket = temp ".sock" in
   let d =
-    D.create ~clock:(fun () -> 0.) ~socket
-      (D.backend_of_engine ~link_name:"link0" live)
+    D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router (mk_router ()))
   in
   let client =
     Domain.spawn (fun () ->
@@ -300,11 +307,9 @@ let recv_reply fd =
   go ()
 
 let test_hardening () =
-  let live = mk_engine () in
   let socket = temp ".sock" in
   let d =
-    D.create ~clock:(fun () -> 0.) ~socket
-      (D.backend_of_engine ~link_name:"link0" live)
+    D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router (mk_router ()))
   in
   let client =
     Domain.spawn (fun () ->
@@ -408,7 +413,7 @@ let test_connect_retry () =
         Unix.sleepf 0.1;
         let d =
           D.create ~clock:(fun () -> 0.) ~socket
-            (D.backend_of_engine ~link_name:"link0" (mk_engine ()))
+            (D.backend_of_router (mk_router ()))
         in
         D.serve d)
   in

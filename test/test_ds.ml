@@ -78,41 +78,6 @@ let heap_interleaved =
           end)
         ops)
 
-(* --- pairing heap --------------------------------------------------- *)
-
-module IntPheap = Ds.Pairing_heap.Make (Int)
-
-let pheap_sorts =
-  qt "pairing_heap: to_sorted_list = sorted"
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      IntPheap.to_sorted_list (IntPheap.of_list xs) = List.sort Int.compare xs)
-
-let pheap_merge =
-  qt "pairing_heap: merge = union"
-    QCheck2.Gen.(pair (list int) (list int))
-    (fun (a, b) ->
-      let m = IntPheap.merge (IntPheap.of_list a) (IntPheap.of_list b) in
-      IntPheap.to_sorted_list m = List.sort Int.compare (a @ b))
-
-let pheap_persistent =
-  qt "pairing_heap: pop does not mutate"
-    QCheck2.Gen.(list_size (int_range 1 20) int)
-    (fun xs ->
-      let h = IntPheap.of_list xs in
-      let before = IntPheap.to_sorted_list h in
-      ignore (IntPheap.pop_min h);
-      IntPheap.to_sorted_list h = before)
-
-let test_pheap_basics () =
-  Alcotest.(check bool) "empty" true (IntPheap.is_empty IntPheap.empty);
-  let h = IntPheap.of_list [ 3; 1; 2 ] in
-  Alcotest.(check (option int)) "min" (Some 1) (IntPheap.min_elt h);
-  Alcotest.(check int) "length" 3 (IntPheap.length h);
-  match IntPheap.pop_min h with
-  | Some (1, h') -> Alcotest.(check (option int)) "next" (Some 2) (IntPheap.min_elt h')
-  | _ -> Alcotest.fail "expected min 1"
-
 (* --- packet FIFO ---------------------------------------------------- *)
 
 let pkt ?(size = 100) seq = Pkt.Packet.make ~flow:1 ~size ~seq ~arrival:0.
@@ -429,228 +394,6 @@ let test_vt_reposition_discipline () =
   | Some x -> Alcotest.(check int) "b now first" 2 x.vid
   | None -> Alcotest.fail "expected"
 
-(* --- intrusive trees ------------------------------------------------ *)
-
-(* The lockstep persistent-vs-intrusive comparison lives in
-   test_hfsc_diff.ml; here the intrusive trees are checked on their own
-   against the brute-force models, plus the structural invariants
-   ([validate]) after churn. *)
-
-type iedc = {
-  ieid : int;
-  mutable iel : float;
-  mutable idl : float;
-  mutable ie_l : iedc;
-  mutable ie_r : iedc;
-  mutable ie_h : int;
-  mutable ie_agg : iedc;
-}
-
-let rec iedc_nil =
-  { ieid = -1; iel = 0.; idl = 0.; ie_l = iedc_nil; ie_r = iedc_nil;
-    ie_h = 0; ie_agg = iedc_nil }
-
-module EdI = Ds.Ed_itree.Make (struct
-  type t = iedc
-
-  let nil = iedc_nil
-
-  let compare a b =
-    let c = Float.compare a.iel b.iel in
-    if c <> 0 then c else Int.compare a.ieid b.ieid
-
-  let eligible_le c now = c.iel <= now
-  let better_deadline a b = a.idl < b.idl || (a.idl = b.idl && a.ieid < b.ieid)
-  let left c = c.ie_l
-  let set_left c x = c.ie_l <- x
-  let right c = c.ie_r
-  let set_right c x = c.ie_r <- x
-  let height c = c.ie_h
-  let set_height c h = c.ie_h <- h
-  let agg c = c.ie_agg
-  let set_agg c x = c.ie_agg <- x
-end)
-
-let ied_mk i (e, d) =
-  { ieid = i; iel = e; idl = d; ie_l = iedc_nil; ie_r = iedc_nil; ie_h = 0;
-    ie_agg = iedc_nil }
-
-let ied_brute_min_deadline cs ~now =
-  List.filter (fun c -> c.iel <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.idl < b.idl || (c.idl = b.idl && c.ieid < b.ieid) then Some c
-             else acc)
-       None
-
-let edi_matches_brute =
-  qt "ed_itree: min_deadline_eligible = brute force" ed_gen (fun pairs ->
-      let cs = List.mapi ied_mk pairs in
-      let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
-      EdI.validate t;
-      List.for_all
-        (fun now ->
-          let got = EdI.min_deadline_eligible t ~now in
-          let want = ied_brute_min_deadline cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.ieid = b.ieid
-          | _ -> false)
-        [ 0.; 2.5; 5.; 7.5; 10.; 11. ])
-
-let edi_remove_works =
-  qt "ed_itree: remove really removes" ed_gen (fun pairs ->
-      let cs = List.mapi ied_mk pairs in
-      let t = List.fold_left (fun t c -> EdI.insert c t) EdI.empty cs in
-      (* drain by removing every element in turn, revalidating as we go *)
-      let t = ref t in
-      List.for_all
-        (fun c ->
-          let before = EdI.cardinal !t in
-          t := EdI.remove c !t;
-          EdI.validate !t;
-          (not (EdI.mem c !t)) && EdI.cardinal !t = before - 1)
-        cs
-      && EdI.is_empty !t)
-
-let test_edi_raw_sentinel () =
-  let a = ied_mk 1 (3., 9.) in
-  let b = ied_mk 2 (1., 5.) in
-  let t = EdI.insert b (EdI.insert a EdI.empty) in
-  Alcotest.(check bool) "raw hit" true
-    (EdI.min_deadline_eligible_raw t ~now:2. == b);
-  Alcotest.(check bool) "raw miss is nil" true
-    (EdI.min_deadline_eligible_raw t ~now:0.5 == EdI.nil);
-  Alcotest.(check bool) "min_eligible_raw" true (EdI.min_eligible_raw t == b);
-  Alcotest.(check bool) "empty raw is nil" true
-    (EdI.min_eligible_raw EdI.empty == EdI.nil)
-
-type ivtc = {
-  ivid : int;
-  mutable iv : float;
-  mutable ift : float;
-  mutable iv_l : ivtc;
-  mutable iv_r : ivtc;
-  mutable iv_h : int;
-  mutable iv_agg : float;
-}
-
-let rec ivtc_nil =
-  { ivid = -1; iv = 0.; ift = 0.; iv_l = ivtc_nil; iv_r = ivtc_nil;
-    iv_h = 0; iv_agg = infinity }
-
-module VtI = Ds.Vt_itree.Make (struct
-  type t = ivtc
-
-  let nil = ivtc_nil
-
-  let compare a b =
-    let c = Float.compare a.iv b.iv in
-    if c <> 0 then c else Int.compare a.ivid b.ivid
-
-  let fit_le c x = c.ift <= x
-  let agg_fit_le c x = c.iv_agg <= x
-  let min_fit_value c = c.iv_agg
-
-  let refresh_agg c =
-    let m = c.ift in
-    let l = c.iv_l in
-    let m = if l != ivtc_nil && l.iv_agg < m then l.iv_agg else m in
-    let r = c.iv_r in
-    let m = if r != ivtc_nil && r.iv_agg < m then r.iv_agg else m in
-    c.iv_agg <- m
-
-  let left c = c.iv_l
-  let set_left c x = c.iv_l <- x
-  let right c = c.iv_r
-  let set_right c x = c.iv_r <- x
-  let height c = c.iv_h
-  let set_height c h = c.iv_h <- h
-end)
-
-let ivt_mk i (v, f) =
-  { ivid = i; iv = v; ift = f; iv_l = ivtc_nil; iv_r = ivtc_nil; iv_h = 0;
-    iv_agg = infinity }
-
-let ivt_brute_first_fit cs ~now =
-  List.filter (fun c -> c.ift <= now) cs
-  |> List.fold_left
-       (fun acc c ->
-         match acc with
-         | None -> Some c
-         | Some b ->
-             if c.iv < b.iv || (c.iv = b.iv && c.ivid < b.ivid) then Some c
-             else acc)
-       None
-
-let vti_matches_brute =
-  qt "vt_itree: first_fit = brute force" vt_gen (fun pairs ->
-      let cs = List.mapi ivt_mk pairs in
-      let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
-      VtI.validate t;
-      List.for_all
-        (fun now ->
-          let got = VtI.first_fit t ~now in
-          let want = ivt_brute_first_fit cs ~now in
-          match (got, want) with
-          | None, None -> true
-          | Some a, Some b -> a.ivid = b.ivid
-          | _ -> false)
-        [ 0.; 3.; 6.; 10. ])
-
-let vti_min_max =
-  qt "vt_itree: min_vt/max_vt/min_fit" vt_gen (fun pairs ->
-      let cs = List.mapi ivt_mk pairs in
-      let t = List.fold_left (fun t c -> VtI.insert c t) VtI.empty cs in
-      let by_vt a b =
-        let c = Float.compare a.iv b.iv in
-        if c <> 0 then c else Int.compare a.ivid b.ivid
-      in
-      let sorted = List.sort by_vt cs in
-      let ok_min =
-        match (VtI.min_vt t, sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.ivid = b.ivid
-        | _ -> false
-      in
-      let ok_max =
-        match (VtI.max_vt t, List.rev sorted) with
-        | None, [] -> true
-        | Some a, b :: _ -> a.ivid = b.ivid
-        | _ -> false
-      in
-      let ok_fit =
-        let want =
-          List.fold_left (fun acc c -> Float.min acc c.ift) infinity cs
-        in
-        VtI.min_fit t = want
-      in
-      ok_min && ok_max && ok_fit)
-
-let test_vti_reposition_discipline () =
-  (* remove, mutate, reinsert — the usage pattern of the scheduler *)
-  let a = ivt_mk 1 (1., 0.) in
-  let b = ivt_mk 2 (2., 0.) in
-  let t = VtI.insert b (VtI.insert a VtI.empty) in
-  let t = VtI.remove a t in
-  a.iv <- 3.;
-  let t = VtI.insert a t in
-  VtI.validate t;
-  (match VtI.min_vt t with
-  | Some x -> Alcotest.(check int) "b now first" 2 x.ivid
-  | None -> Alcotest.fail "expected");
-  Alcotest.(check bool) "first_fit_raw" true (VtI.first_fit_raw t ~now:0. == b)
-
-let test_itree_duplicate_insert () =
-  let a = ivt_mk 1 (1., 0.) in
-  let t = VtI.insert a VtI.empty in
-  Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Intrusive_tree.insert: duplicate key")
-    (fun () -> ignore (VtI.insert a t))
-
 let () =
   Alcotest.run "ds"
     [
@@ -661,13 +404,6 @@ let () =
           heap_sorts;
           heap_to_sorted;
           heap_interleaved;
-        ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_pheap_basics;
-          pheap_sorts;
-          pheap_merge;
-          pheap_persistent;
         ] );
       ( "fifo_queue",
         [
@@ -701,20 +437,5 @@ let () =
             test_vt_reposition_discipline;
           vt_matches_brute;
           vt_min_max;
-        ] );
-      ( "ed_itree",
-        [
-          Alcotest.test_case "raw sentinel" `Quick test_edi_raw_sentinel;
-          edi_matches_brute;
-          edi_remove_works;
-        ] );
-      ( "vt_itree",
-        [
-          Alcotest.test_case "reposition discipline" `Quick
-            test_vti_reposition_discipline;
-          Alcotest.test_case "duplicate insert rejected" `Quick
-            test_itree_duplicate_insert;
-          vti_matches_brute;
-          vti_min_max;
         ] );
     ]

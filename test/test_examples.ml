@@ -1,6 +1,6 @@
 (* Every committed example must stay loadable: each examples/*.hfsc
-   parses as a configuration (and its validation warnings, if any, must
-   come from the curated list below), and each examples/*.ctl parses as
+   loads through the control plane (and survives a restart with its
+   pinned configuration fingerprint), and each examples/*.ctl parses as
    a control script. Guards the documentation against drifting from the
    grammar. *)
 
@@ -18,23 +18,65 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An example loaded into a fresh sequential router. *)
+let load_router path =
+  match Config.load path with
+  | Error e -> Alcotest.fail e
+  | Ok cfg -> (
+      let r = Runtime.Router.create ~audit_every:16 () in
+      match Config.apply cfg ~exec:(Runtime.Router.exec r ~now:0.) with
+      | Ok () -> (cfg, r)
+      | Error e -> Alcotest.fail e)
+
+let load_engine path =
+  match load_router path with
+  | cfg, r -> (
+      match Runtime.Router.links r with
+      | [ (_, eng) ] -> (cfg, eng)
+      | _ -> Alcotest.failf "%s: expected one link" path)
+
 let test_configs_parse () =
   let configs = files_with ".hfsc" in
   Alcotest.(check bool) "at least one example config" true (configs <> []);
   List.iter
     (fun path ->
-      match Config.load path with
-      | Ok cfg ->
-          (* validation must run cleanly; warnings are allowed (some
-             examples deliberately overload a class) but must not
-             raise *)
-          let warnings = Config.validate cfg in
-          ignore warnings;
+      let _, r = load_router path in
+      List.iter
+        (fun (name, eng) ->
           Alcotest.(check bool)
-            (path ^ " has classes")
+            (Printf.sprintf "%s: link %s has classes" path name)
             true
-            (List.length (Hfsc.classes cfg.Config.scheduler) > 1)
-      | Error e -> Alcotest.failf "%s: %s" path e)
+            (List.length (Runtime.Engine.class_ids eng) > 1))
+        (Runtime.Router.links r))
+    configs
+
+(* The configuration fingerprint of each shipped example, as built by
+   the config builder the command lowering replaced; the lowering must
+   reproduce every one. *)
+let pinned_fingerprints =
+  [
+    ("control.hfsc", "9d699a2f926036b440826aff699a013d");
+    ("fig1.hfsc", "131338c062b88329c28effb8ae13bc2b");
+    ("overload.hfsc", "48ea2f9e37de08fbe137289c6dbf71e6");
+    ("router.hfsc", "352789ab134114339b481453023e39d2");
+  ]
+
+(* A configuration that loads must survive a restart: its checkpoint
+   replays strictly into a fresh router and reaches the same
+   fingerprint. *)
+let test_configs_restart () =
+  let configs = files_with ".hfsc" in
+  Alcotest.(check (list string)) "every example pinned"
+    (List.map fst pinned_fingerprints)
+    (List.map Filename.basename configs);
+  List.iter
+    (fun path ->
+      let _, r = load_router path in
+      Alcotest.(check string) (path ^ " fingerprint")
+        (List.assoc (Filename.basename path) pinned_fingerprints)
+        (Runtime.Router.config_fingerprint r);
+      Alcotest.(check bool) (path ^ " restarts") true
+        (Config_fixture.replays_to_same_fingerprint r))
     configs
 
 let test_scripts_parse () =
@@ -54,11 +96,7 @@ let test_scripts_parse () =
    and modifies succeed, and the two deliberate over-commitments are
    rejected by admission control with a breakpoint report. *)
 let test_shipped_pair_replays () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "control.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
+  let _, eng = load_engine (Filename.concat examples_dir "control.hfsc") in
   let cmds =
     match
       Runtime.Command.parse_script
@@ -68,7 +106,6 @@ let test_shipped_pair_replays () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "reconfigure.ctl:%d: %s" line reason
   in
-  let eng = Runtime.Engine.of_config cfg in
   (* the script deliberately includes over-commits that must be
      rejected without stopping the replay: lenient mode *)
   let outcomes = Runtime.Engine.exec_script ~lenient:true eng cmds in
@@ -100,11 +137,7 @@ let test_shipped_pair_replays () =
    tightened limits, with the excess showing up as counted drops in
    telemetry, the one hostile line rejected, and the auditor clean. *)
 let test_overload_degrades () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "overload.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
+  let cfg, eng = load_engine (Filename.concat examples_dir "overload.hfsc") in
   let cmds =
     match
       Runtime.Command.parse_script
@@ -114,11 +147,10 @@ let test_overload_degrades () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "overload.ctl:%d: %s" line reason
   in
-  let eng = Runtime.Engine.of_config ~audit_every:256 cfg in
   let sched = Runtime.Engine.scheduler eng in
   let sim =
-    Netsim.Sim.create ~link_rate:cfg.Config.link_rate
-      ~sched:(Runtime.Engine.adapter eng) ()
+    Netsim.Sim.create ~link_rate:(Runtime.Engine.link_rate eng)
+      ~sched:(Runtime.Engine.to_scheduler eng) ()
   in
   List.iter (Netsim.Sim.add_source sim) (cfg.Config.sources ~until:3.0);
   let rejected = ref [] in
@@ -182,12 +214,9 @@ let test_overload_degrades () =
    with exactly the two deliberate violations rejected — one cross-link
    filter, one link-share over-commitment — each with its typed code. *)
 let test_router_pair_replays () =
-  let cfg =
-    match Config.load (Filename.concat examples_dir "router.hfsc") with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check int) "two links configured" 2 (List.length cfg.Config.links);
+  let _, router = load_router (Filename.concat examples_dir "router.hfsc") in
+  Alcotest.(check int) "two links configured" 2
+    (Runtime.Router.link_count router);
   let cmds =
     match
       Runtime.Command.parse_script_file
@@ -197,7 +226,6 @@ let test_router_pair_replays () =
     | Error { Runtime.Command.line; reason } ->
         Alcotest.failf "router.ctl:%d: %s" line reason
   in
-  let router = Runtime.Router.of_config ~audit_every:16 cfg in
   let outcomes = Runtime.Router.exec_script ~lenient:true router cmds in
   let rejected =
     List.filter_map
@@ -264,6 +292,8 @@ let () =
       ( "examples",
         [
           Alcotest.test_case "configs parse" `Quick test_configs_parse;
+          Alcotest.test_case "configs survive a restart" `Quick
+            test_configs_restart;
           Alcotest.test_case "scripts parse" `Quick test_scripts_parse;
           Alcotest.test_case "shipped pair replays" `Quick
             test_shipped_pair_replays;

@@ -14,7 +14,12 @@
    - engine fuzz: a live [Runtime.Engine] with [audit_every:64] fed a
      mix of traffic and control lines, including the malformed pool
      from [Netsim.Faults]; every rejected command must leave the
-     observable engine state byte-identical.
+     observable engine state byte-identical;
+
+   - generated configurations: random hierarchies rendered as config
+     files either load, and then survive a restart (their checkpoint
+     replays strictly to an equal fingerprint), or are refused at load
+     with a typed admission code.
 
    Every failure report ends with a replayable dump of the exact op
    stream (OCaml literals for the scheduler layer, one line per op for
@@ -137,10 +142,7 @@ module E = Runtime.Engine
 let fingerprint = engine_fingerprint
 
 let engine_fuzz ~seed ~nops =
-  let cfg =
-    match Config.parse cfg_text with Ok c -> c | Error e -> fail "cfg: %s" e
-  in
-  let eng = E.of_config ~audit_every ~trace_capacity:256 cfg in
+  let eng = Config_fixture.engine ~audit_every ~trace_capacity:256 cfg_text in
   let rng = Random.State.make [| 0x5eed; seed; 1 |] in
   let ops =
     gen_eng_ops ~rng ~pool:command_pool ~flows:[| 1; 2; 3; 9 |] ~nops
@@ -313,6 +315,95 @@ let router_fuzz ~seed ~nops =
         (Lazy.force dump));
   (!applied, !rejected)
 
+(* --- generated configurations: load, then restart ----------------- *)
+
+(* Render a generated hierarchy ([Hfsc_gen.tree_gen], curves as
+   [Hfsc_gen.Build] shapes them) as configuration statements. With
+   [fit], each node's children shares are scaled to sum to at most 1,
+   so most such files admit; without it many over-commit. *)
+let render_config ~rng ~link ~next_flow spec =
+  let b = Buffer.create 512 in
+  let fit = Random.State.bool rng in
+  let n = ref 0 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  line "link %s rate 1000000Bps" link;
+  let rec go parent rate scale = function
+    | Hfsc_gen.Leaf l ->
+        incr next_flow;
+        let r = Float.max 1000. (rate *. l.share *. scale) in
+        line "class %s_leaf%d parent %s flow %d fsc %.0fBps qlimit %d%s%s" link
+          !next_flow parent !next_flow r l.qlimit
+          (match l.rsc_kind with
+          | 1 -> Printf.sprintf " rsc m1 %.0fBps d 10ms m2 %.0fBps" (2. *. r) (r /. 2.)
+          | 2 -> Printf.sprintf " rsc m1 0Bps d 10ms m2 %.0fBps" (r /. 2.)
+          | 3 -> Printf.sprintf " rsc %.0fBps" (r /. 2.)
+          | _ -> "")
+          (if l.with_usc then Printf.sprintf " ulimit %.0fBps" (Float.max 2000. r)
+           else "")
+    | Hfsc_gen.Node (share, children) ->
+        incr n;
+        let name = Printf.sprintf "%s_node%d" link !n in
+        let r = Float.max 2000. (rate *. share *. scale) in
+        line "class %s parent %s fsc %.0fBps" name parent r;
+        children_of name r children
+  and children_of parent rate children =
+    let total =
+      List.fold_left
+        (fun a -> function Hfsc_gen.Leaf l -> a +. l.share | Node (s, _) -> a +. s)
+        0. children
+    in
+    let scale = if fit then 1. /. Float.max 1. total else 1. in
+    List.iter (go parent rate scale) children
+  in
+  (match spec with
+  | Hfsc_gen.Node (_, children) -> children_of "root" 1e6 children
+  | leaf -> go "root" 1e6 1. leaf);
+  Buffer.contents b
+
+(* Every generated file either loads — and then its checkpoint replays
+   strictly into a fresh router with an equal fingerprint — or is
+   refused at load with a typed admission code. *)
+let config_fuzz ~seed ~configs =
+  let rng = Random.State.make [| 0x5eed; seed; 3 |] in
+  let loaded = ref 0 and refused = ref 0 in
+  for _ = 1 to configs do
+    let next_flow = ref 0 in
+    let text =
+      String.concat ""
+        (List.init
+           (1 + Random.State.int rng 2)
+           (fun i ->
+             render_config ~rng ~link:(Printf.sprintf "l%d" i) ~next_flow
+               (QCheck2.Gen.generate1 ~rand:rng Hfsc_gen.tree_gen)))
+    in
+    match Config.parse text with
+    | Error e -> fail "seed %d: generated config does not parse: %s\n%s" seed e text
+    | Ok cfg -> (
+        let r = Runtime.Router.create () in
+        match Config.apply cfg ~exec:(Runtime.Router.exec r ~now:0.) with
+        | Ok () ->
+            incr loaded;
+            if not (Config_fixture.replays_to_same_fingerprint r) then
+              fail "seed %d: config does not survive a restart\n%s" seed text
+        | Error e ->
+            incr refused;
+            let has code =
+              let s = ": " ^ code ^ ":" and ls = String.length e in
+              let n = String.length s in
+              let rec go i = i + n <= ls && (String.sub e i n = s || go (i + 1)) in
+              go 0
+            in
+            let admission =
+              List.exists has
+                [ "admission-realtime"; "admission-linkshare"; "admission-ulimit" ]
+            in
+            if not admission then
+              fail "seed %d: refused without an admission code: %s\n%s" seed e
+                text)
+  done;
+  if !loaded = 0 then fail "seed %d: no generated config loaded" seed;
+  (!loaded, !refused)
+
 (* --- main ----------------------------------------------------------- *)
 
 let () =
@@ -323,7 +414,11 @@ let () =
   let seeds = arg 2 1 in
   let applied = ref 0 and rejected = ref 0 in
   let r_applied = ref 0 and r_rejected = ref 0 in
+  let c_loaded = ref 0 and c_refused = ref 0 in
   for seed = 0 to seeds - 1 do
+    let l, r = config_fuzz ~seed ~configs:50 in
+    c_loaded := !c_loaded + l;
+    c_refused := !c_refused + r;
     sched_fuzz ~seed ~nops;
     let a, r = engine_fuzz ~seed ~nops in
     applied := !applied + a;
@@ -335,7 +430,8 @@ let () =
   Printf.printf
     "fuzz ok: %d seed%s x %d ops: scheduler and batched paths match the \
      reference under audit; engine applied %d and rejected %d commands with \
-     state intact; router (3 links + churn) applied %d and rejected %d\n"
+     state intact; router (3 links + churn) applied %d and rejected %d; \
+     generated configs: %d loaded and restarted, %d refused at load\n"
     seeds
     (if seeds = 1 then "" else "s")
-    nops !applied !rejected !r_applied !r_rejected
+    nops !applied !rejected !r_applied !r_rejected !c_loaded !c_refused

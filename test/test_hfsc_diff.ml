@@ -1,8 +1,9 @@
-(* Differential tests for the intrusive-tree rework: the mutable
-   intrusive ED/VT trees against the persistent originals on random
-   operation sequences, and the optimized scheduler (Hfsc) against the
-   frozen reference (Hfsc_ref) on random hierarchies and traffic —
-   asserting bit-identical dequeue decisions and float aggregates.
+(* Differential tests: the persistent ED/VT trees the reference
+   scheduler rides against a brute-force model on random operation
+   sequences, and the optimized scheduler (Hfsc, whose intrusive trees
+   are hand-specialised) against the frozen reference (Hfsc_ref) on
+   random hierarchies and traffic — asserting bit-identical dequeue
+   decisions and float aggregates.
 
    Between the deterministic big runs and the QCheck cases this drives
    well over 10k operations through each pair. *)
@@ -10,21 +11,14 @@
 let qt ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-(* --- ED trees: persistent vs intrusive ----------------------------- *)
+(* --- ED/VT trees under the scheduler's op mix ------------------------ *)
 
-type ede = {
-  eid : int;
-  mutable el : float;
-  mutable dl : float;
-  mutable e_l : ede;
-  mutable e_r : ede;
-  mutable e_h : int;
-  mutable e_agg : ede;
-}
+(* The persistent trees back the [Hfsc_ref] oracle, so they are driven
+   here the way a scheduler drives them — insert, remove, and
+   reposition (remove + mutate the key + reinsert) — against a list of
+   the live elements, every query answered by a linear scan. *)
 
-let rec ed_nil =
-  { eid = -1; el = 0.; dl = 0.; e_l = ed_nil; e_r = ed_nil; e_h = 0;
-    e_agg = ed_nil }
+type ede = { eid : int; mutable el : float; mutable dl : float }
 
 module EdP = Ds.Ed_tree.Make (struct
   type t = ede
@@ -34,42 +28,7 @@ module EdP = Ds.Ed_tree.Make (struct
   let deadline c = c.dl
 end)
 
-module EdI = Ds.Ed_itree.Make (struct
-  type t = ede
-
-  let nil = ed_nil
-
-  let compare a b =
-    let c = Float.compare a.el b.el in
-    if c <> 0 then c else Int.compare a.eid b.eid
-
-  let eligible_le c now = c.el <= now
-  let better_deadline a b = a.dl < b.dl || (a.dl = b.dl && a.eid < b.eid)
-  let left c = c.e_l
-  let set_left c x = c.e_l <- x
-  let right c = c.e_r
-  let set_right c x = c.e_r <- x
-  let height c = c.e_h
-  let set_height c h = c.e_h <- h
-  let agg c = c.e_agg
-  let set_agg c x = c.e_agg <- x
-end)
-
-(* --- VT trees: persistent vs intrusive ----------------------------- *)
-
-type vte = {
-  vid : int;
-  mutable v : float;
-  mutable ft : float;
-  mutable v_l : vte;
-  mutable v_r : vte;
-  mutable v_h : int;
-  mutable v_agg : float; (* cached subtree min fit *)
-}
-
-let rec vt_nil =
-  { vid = -1; v = 0.; ft = 0.; v_l = vt_nil; v_r = vt_nil; v_h = 0;
-    v_agg = infinity }
+type vte = { vid : int; mutable v : float; mutable ft : float }
 
 module VtP = Ds.Vt_tree.Make (struct
   type t = vte
@@ -79,65 +38,31 @@ module VtP = Ds.Vt_tree.Make (struct
   let fit c = c.ft
 end)
 
-module VtI = Ds.Vt_itree.Make (struct
-  type t = vte
+(* the least element under [lt], by linear scan *)
+let min_by lt =
+  List.fold_left
+    (fun acc c -> match acc with Some b when not (lt c b) -> acc | _ -> Some c)
+    None
 
-  let nil = vt_nil
-
-  let compare a b =
-    let c = Float.compare a.v b.v in
-    if c <> 0 then c else Int.compare a.vid b.vid
-
-  let fit_le c x = c.ft <= x
-  let agg_fit_le c x = c.v_agg <= x
-  let min_fit_value c = c.v_agg
-
-  let refresh_agg c =
-    let m = c.ft in
-    let l = c.v_l in
-    let m = if l != vt_nil && l.v_agg < m then l.v_agg else m in
-    let r = c.v_r in
-    let m = if r != vt_nil && r.v_agg < m then r.v_agg else m in
-    c.v_agg <- m
-
-  let left c = c.v_l
-  let set_left c x = c.v_l <- x
-  let right c = c.v_r
-  let set_right c x = c.v_r <- x
-  let height c = c.v_h
-  let set_height c h = c.v_h <- h
-end)
-
-(* Random op sequence over a (persistent, intrusive) pair, comparing
-   every query answer and the full in-order contents. Op mix: insert,
-   remove, reposition (remove + mutate key + reinsert — the scheduler's
-   usage pattern), query. *)
-let ed_diff_run ~seed ~nops =
+(* Random op sequence over one tree and its model, comparing every
+   query answer and the full in-order contents. [mk rng id] makes an
+   element, [rekey rng x] mutates its key, [agree now live t] compares
+   the queries, [key] orders the model's in-order listing. *)
+let diff_run (type e tree) ~seed ~nops ~(mk : Random.State.t -> int -> e)
+    ~(rekey : Random.State.t -> e -> unit) ~(insert : e -> tree -> tree)
+    ~(remove : e -> tree -> tree) ~(empty : tree) ~(to_list : tree -> e list)
+    ~(cardinal : tree -> int) ~(agree : float -> e list -> tree -> bool)
+    ~(cmp : e -> e -> int) =
   let rng = Random.State.make [| seed |] in
-  let live = ref [] in
-  let nlive = ref 0 in
-  let pt = ref EdP.empty in
-  let it = ref EdI.empty in
-  let next_id = ref 0 in
+  let live = ref [] and nlive = ref 0 in
+  let t = ref empty in
   let ok = ref true in
   let pick () = List.nth !live (Random.State.int rng !nlive) in
-  let same a b =
-    match (a, b) with
-    | None, None -> true
-    | Some (x : ede), Some y -> x.eid = y.eid
-    | _ -> false
-  in
-  for _ = 1 to nops do
+  for id = 1 to nops do
     let r = Random.State.float rng 1. in
     if r < 0.4 || !nlive = 0 then begin
-      incr next_id;
-      let x =
-        { eid = !next_id; el = Random.State.float rng 10.;
-          dl = Random.State.float rng 10.; e_l = ed_nil; e_r = ed_nil;
-          e_h = 0; e_agg = ed_nil }
-      in
-      pt := EdP.insert x !pt;
-      it := EdI.insert x !it;
+      let x = mk rng id in
+      t := insert x !t;
       live := x :: !live;
       incr nlive
     end
@@ -145,98 +70,71 @@ let ed_diff_run ~seed ~nops =
       let x = pick () in
       live := List.filter (fun y -> y != x) !live;
       decr nlive;
-      pt := EdP.remove x !pt;
-      it := EdI.remove x !it
+      t := remove x !t
     end
     else if r < 0.75 then begin
-      (* reposition: remove, mutate the key fields, reinsert *)
       let x = pick () in
-      pt := EdP.remove x !pt;
-      it := EdI.remove x !it;
-      x.el <- Random.State.float rng 10.;
-      x.dl <- Random.State.float rng 10.;
-      pt := EdP.insert x !pt;
-      it := EdI.insert x !it
+      t := remove x !t;
+      rekey rng x;
+      t := insert x !t
     end
-    else begin
-      let now = Random.State.float rng 11. in
+    else
       ok :=
         !ok
-        && same (EdP.min_deadline_eligible !pt ~now)
-             (EdI.min_deadline_eligible !it ~now)
-        && same (EdP.min_eligible !pt) (EdI.min_eligible !it)
-        && EdP.cardinal !pt = EdI.cardinal !it
-    end
+        && agree (Random.State.float rng 11.) !live !t
+        && cardinal !t = !nlive
   done;
-  EdI.validate !it;
-  ok :=
-    !ok
-    && List.map (fun (x : ede) -> x.eid) (EdP.to_list !pt)
-       = List.map (fun (x : ede) -> x.eid) (EdI.to_list !it);
-  !ok
+  !ok && to_list !t = List.sort cmp !live
+
+let ed_diff_run ~seed ~nops =
+  let by_dl a b = a.dl < b.dl || (a.dl = b.dl && a.eid < b.eid) in
+  let by_el a b = a.el < b.el || (a.el = b.el && a.eid < b.eid) in
+  let same a b =
+    match (a, b) with
+    | None, None -> true
+    | Some x, Some y -> x.eid = y.eid
+    | _ -> false
+  in
+  diff_run ~seed ~nops
+    ~mk:(fun rng eid ->
+      { eid; el = Random.State.float rng 10.; dl = Random.State.float rng 10. })
+    ~rekey:(fun rng x ->
+      x.el <- Random.State.float rng 10.;
+      x.dl <- Random.State.float rng 10.)
+    ~insert:EdP.insert ~remove:EdP.remove ~empty:EdP.empty
+    ~to_list:EdP.to_list ~cardinal:EdP.cardinal
+    ~agree:(fun now live t ->
+      same
+        (EdP.min_deadline_eligible t ~now)
+        (min_by by_dl (List.filter (fun c -> c.el <= now) live))
+      && same (EdP.min_eligible t) (min_by by_el live))
+    ~cmp:(fun a b -> if by_el a b then -1 else if by_el b a then 1 else 0)
 
 let vt_diff_run ~seed ~nops =
-  let rng = Random.State.make [| seed |] in
-  let live = ref [] in
-  let nlive = ref 0 in
-  let pt = ref VtP.empty in
-  let it = ref VtI.empty in
-  let next_id = ref 0 in
-  let ok = ref true in
-  let pick () = List.nth !live (Random.State.int rng !nlive) in
+  let by_v a b = a.v < b.v || (a.v = b.v && a.vid < b.vid) in
   let same a b =
     match (a, b) with
     | None, None -> true
-    | Some (x : vte), Some y -> x.vid = y.vid
+    | Some x, Some y -> x.vid = y.vid
     | _ -> false
   in
-  for _ = 1 to nops do
-    let r = Random.State.float rng 1. in
-    if r < 0.4 || !nlive = 0 then begin
-      incr next_id;
-      let x =
-        { vid = !next_id; v = Random.State.float rng 10.;
-          ft = Random.State.float rng 10.; v_l = vt_nil; v_r = vt_nil;
-          v_h = 0; v_agg = infinity }
-      in
-      pt := VtP.insert x !pt;
-      it := VtI.insert x !it;
-      live := x :: !live;
-      incr nlive
-    end
-    else if r < 0.6 then begin
-      let x = pick () in
-      live := List.filter (fun y -> y != x) !live;
-      decr nlive;
-      pt := VtP.remove x !pt;
-      it := VtI.remove x !it
-    end
-    else if r < 0.75 then begin
-      let x = pick () in
-      pt := VtP.remove x !pt;
-      it := VtI.remove x !it;
+  diff_run ~seed ~nops
+    ~mk:(fun rng vid ->
+      { vid; v = Random.State.float rng 10.; ft = Random.State.float rng 10. })
+    ~rekey:(fun rng x ->
       x.v <- Random.State.float rng 10.;
-      x.ft <- Random.State.float rng 10.;
-      pt := VtP.insert x !pt;
-      it := VtI.insert x !it
-    end
-    else begin
-      let now = Random.State.float rng 11. in
-      ok :=
-        !ok
-        && same (VtP.first_fit !pt ~now) (VtI.first_fit !it ~now)
-        && same (VtP.min_vt !pt) (VtI.min_vt !it)
-        && same (VtP.max_vt !pt) (VtI.max_vt !it)
-        && VtP.min_fit !pt = VtI.min_fit !it
-        && VtP.cardinal !pt = VtI.cardinal !it
-    end
-  done;
-  VtI.validate !it;
-  ok :=
-    !ok
-    && List.map (fun (x : vte) -> x.vid) (VtP.to_list !pt)
-       = List.map (fun (x : vte) -> x.vid) (VtI.to_list !it);
-  !ok
+      x.ft <- Random.State.float rng 10.)
+    ~insert:VtP.insert ~remove:VtP.remove ~empty:VtP.empty
+    ~to_list:VtP.to_list ~cardinal:VtP.cardinal
+    ~agree:(fun now live t ->
+      same
+        (VtP.first_fit t ~now)
+        (min_by by_v (List.filter (fun c -> c.ft <= now) live))
+      && same (VtP.min_vt t) (min_by by_v live)
+      && same (VtP.max_vt t) (min_by (fun a b -> by_v b a) live)
+      && VtP.min_fit t
+         = List.fold_left (fun m c -> Float.min m c.ft) infinity live)
+    ~cmp:(fun a b -> if by_v a b then -1 else if by_v b a then 1 else 0)
 
 let test_ed_diff_big () =
   Alcotest.(check bool) "ed trees agree over 6000 ops" true

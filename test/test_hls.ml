@@ -200,9 +200,7 @@ let test_batch_equals_singles () =
 
 (* --- the engine over the rr backend -------------------------------- *)
 
-let rr_engine () =
-  let t = Hls.create () in
-  E.create_rr ~link_rate:1.25e6 t ~flow_map:[] ()
+let rr_engine () = E.create_empty ~link_rate:1.25e6 B.Rr_kind
 
 let test_rr_engine_grammar_and_admission () =
   let eng = rr_engine () in

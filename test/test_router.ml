@@ -104,10 +104,9 @@ let resp = function
         (E.error_message e)
 
 let test_one_link_identity () =
-  (* parse twice: a Config.t carries the built scheduler, so both sides
-     need their own instance to stay independent *)
-  let eng = E.of_config ~audit_every:64 (ok (Config.parse cfg_text)) in
-  let router = R.of_config ~audit_every:64 (ok (Config.parse cfg_text)) in
+  (* the bare side is a one-link router's engine, driven directly *)
+  let eng = Config_fixture.engine ~audit_every:64 cfg_text in
+  let _, router = Config_fixture.router ~audit_every:64 cfg_text in
   let rng = Random.State.make [| 0x40073; 0 |] in
   let now = ref 0. in
   let seq = ref 0 in
@@ -224,11 +223,10 @@ source poisson flow 4 rate 4Mbit pkt 1000 seed 23
 (* Drive the two-link router through the simulator, optionally flapping
    link A's wire; return link B's observable end state. *)
 let run_ab ~fault_a =
-  let cfg = ok (Config.parse router_cfg_text) in
-  let router = R.of_config ~audit_every:256 cfg in
+  let cfg, router = Config_fixture.router ~audit_every:256 router_cfg_text in
   let links =
     List.map
-      (fun (name, eng) -> (name, E.link_rate eng, E.adapter eng))
+      (fun (name, eng) -> (name, E.link_rate eng, E.to_scheduler eng))
       (R.links router)
   in
   let index = Hashtbl.create 4 in

@@ -135,7 +135,7 @@ let test_parse_link_grammar () =
   | Ok
       {
         C.target = C.Default_link;
-        op = C.Link_add { link = "north"; rate; backend = Config.Hfsc_backend };
+        op = C.Link_add { link = "north"; rate; backend = Runtime.Backend.Hfsc_kind };
       } ->
       Alcotest.(check (float 1e-9)) "rate in B/s" 625_000. rate
   | _ -> Alcotest.fail "link add");
@@ -143,7 +143,7 @@ let test_parse_link_grammar () =
   | Ok
       {
         C.target = C.Default_link;
-        op = C.Link_add { link = "south"; backend = Config.Rr_backend; _ };
+        op = C.Link_add { link = "south"; backend = Runtime.Backend.Rr_kind; _ };
       } ->
       ()
   | _ -> Alcotest.fail "link add backend rr");
@@ -273,8 +273,7 @@ class g parent root fsc 2Mbit
 class g1 parent g flow 3 fsc 1.5Mbit
 |}
 
-let make_engine ?trace_capacity () =
-  E.of_config ?trace_capacity (ok (Config.parse cfg_text))
+let make_engine ?trace_capacity () = Config_fixture.engine ?trace_capacity cfg_text
 
 let exec1 eng ~now line = E.exec eng ~now (ok (C.parse line))
 
@@ -741,7 +740,7 @@ let test_usc_admission () =
   check_code "modify caught" E.Admission_ulimit r2
 
 let test_audit_runs_clean () =
-  let eng = E.of_config ~audit_every:1 (ok (Config.parse cfg_text)) in
+  let eng = Config_fixture.engine ~audit_every:1 cfg_text in
   Alcotest.(check (list string)) "fresh engine" [] (E.audit eng);
   (* audit_every:1 re-validates after every op — any violation raises *)
   for s = 0 to 9 do
@@ -921,7 +920,7 @@ let op_gen =
           map3
             (fun link rate backend -> C.Link_add { link; rate; backend })
             link_name_gen rate_gen
-            (oneofl [ Config.Hfsc_backend; Config.Rr_backend ]) );
+            (oneofl [ Runtime.Backend.Hfsc_kind; Runtime.Backend.Rr_kind ]) );
         (1, map (fun l -> C.Link_delete l) link_name_gen);
         (1, return C.Link_list);
       ])
