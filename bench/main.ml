@@ -14,6 +14,10 @@
                                            # baseline, written as JSON
      dune exec bench/main.exe -- scale     # hfsc-vs-rr backend head-to-
                                            # head at 10k/100k/1M classes
+     dune exec bench/main.exe -- control-scale
+                                           # H-FSC class adds/s and
+                                           # restore seconds at
+                                           # 1k/10k/100k leaves
      dune exec bench/main.exe -- smoke committed.json
                                            # 0.1 s-quota run; validates
                                            # the schema of its own
@@ -1454,6 +1458,77 @@ let run_scale () =
              ])
            rows)
 
+(* The control plane at scale: build an H-FSC link of [n] leaves through
+   [Router.exec] — 100 leaves per interior class, every second leaf with
+   a concave rsc whose knee is one of three dmax values, every leaf an
+   fsc and a flow — then restore it from its checkpoint into a fresh
+   router, as a restarting daemon does. Commands are parsed before the
+   clock starts; the build time covers [exec] only, the restore time
+   the checkpoint and its replay. Admission keeps breakpoint ledgers,
+   so adds/s should stay near-flat as the link grows and restore time
+   grow linearly. *)
+let run_control_scale () =
+  Experiments.Common.section
+    "control-scale: H-FSC class adds and restores through Router.exec";
+  let link_rate = 1.25e9 (* 10 Gbit/s *) and fanout = 100 in
+  let dmax_ms = [| 5; 10; 20 |] in
+  let parse line =
+    match Runtime.Command.parse line with
+    | Ok c -> c
+    | Error e -> failwith (line ^ ": " ^ e)
+  in
+  let all_ok what results =
+    List.iter
+      (fun (_, _, r) ->
+        match r with
+        | Ok _ -> ()
+        | Error e ->
+            failwith (what ^ ": " ^ Runtime.Engine.error_message e))
+      results
+  in
+  let row n =
+    let share = link_rate /. float_of_int n in
+    let lines = ref [ parse (Printf.sprintf "link add core rate %.0fBps" link_rate) ] in
+    let add fmt = Printf.ksprintf (fun l -> lines := parse l :: !lines) fmt in
+    for g = 0 to (n / fanout) - 1 do
+      add "link core add class g%d parent root fsc %.0fBps" g
+        (0.99 *. float_of_int fanout *. share);
+      for j = 0 to fanout - 1 do
+        let i = (g * fanout) + j in
+        if j mod 2 = 1 then
+          add
+            "link core add class l%d parent g%d flow %d rsc m1 %.0fBps d %dms m2 \
+             %.0fBps fsc %.0fBps"
+            i g i share dmax_ms.(i / 2 mod 3) (share /. 2.) (0.9 *. share)
+        else add "link core add class l%d parent g%d flow %d fsc %.0fBps" i g i (0.9 *. share)
+      done
+    done;
+    let script = List.rev_map (fun c -> (0., c)) !lines in
+    let r = Runtime.Router.create () in
+    let t0 = Unix.gettimeofday () in
+    let built = Runtime.Router.exec_script r script in
+    let build_s = Unix.gettimeofday () -. t0 in
+    all_ok "build" built;
+    let t0 = Unix.gettimeofday () in
+    let r' = Runtime.Router.create () in
+    let restored = Runtime.Router.exec_script r' (Runtime.Router.checkpoint r) in
+    let restore_s = Unix.gettimeofday () -. t0 in
+    all_ok "restore" restored;
+    if Runtime.Router.config_fingerprint r <> Runtime.Router.config_fingerprint r'
+    then failwith "restore: fingerprint differs";
+    let classes = List.length script - 1 in
+    [
+      string_of_int n;
+      string_of_int classes;
+      Printf.sprintf "%.0f" (float_of_int classes /. build_s);
+      Printf.sprintf "%.3f s" build_s;
+      Printf.sprintf "%.3f s" restore_s;
+    ]
+  in
+  Experiments.Common.table
+    ~header:[ "leaves"; "class adds"; "adds/s"; "build"; "restore" ]
+    (List.map row [ 1_000; 10_000; 100_000 ])
+
 let run_smoke committed =
   let doc = bench_doc ~quota:0.1 scenarios_smoke in
   let own = Filename.temp_file "hfsc_bench_smoke" ".json" in
@@ -1497,6 +1572,7 @@ let () =
       run_bench_json
         (match rest with p :: _ -> p | [] -> "BENCH_hfsc.json")
   | "scale" :: _ -> run_scale ()
+  | "control-scale" :: _ -> run_control_scale ()
   | "smoke" :: committed :: _ -> run_smoke committed
   | [ "smoke" ] ->
       prerr_endline "usage: main.exe smoke <committed.json>";

@@ -61,3 +61,74 @@ val usc_violating_breakpoint :
 val usc_feasible :
   rsc:Curve.Service_curve.t -> usc:Curve.Service_curve.t -> bool
 (** [usc_violating_breakpoint ~rsc ~usc = None]. *)
+
+(** {2 The fixed-point envelope}
+
+    The scheduler evaluates curves in shifted integers
+    ({!Curve.Fixed_point}), which carry slopes only below
+    {!Curve.Fixed_point.max_slope}. A link rate or curve slope at or
+    above it would be accepted and then served wrongly, so the control
+    plane refuses it up front. *)
+
+val check_rate : what:string -> float -> (unit, string) result
+(** [Ok ()] below {!Curve.Fixed_point.max_slope} ([2^32] B/s, about
+    34.36 Gbit/s); otherwise a message naming [what], the value and the
+    bound. *)
+
+val check_curve : what:string -> Curve.Service_curve.t -> (unit, string) result
+(** {!check_rate} on both slopes ([m1], then [m2]). *)
+
+(** {2 Incremental admission}
+
+    A ledger keeps the sum of a changing set of two-piece curves as a
+    sorted map from knee abscissa to the summed first and second slopes
+    of the curves bending there. Adding or removing one curve is
+    O(log k), for k distinct knees (the distinct [d] values of the
+    set; linear curves share the knee at 0). Checking the sum, with
+    one curve swapped out and one swapped in, against a two-piece
+    capacity is one O(k) walk over the knees of both sides and the
+    final slopes — exact, because both sides are linear between knees.
+
+    The ledger only ever {e accepts}. It says a set clears only when
+    every knee, and the final slope, stays below the capacity by more
+    than [1e-9·(demand + capacity)]; near or over the bound the caller
+    runs {!violating_breakpoint} on the full curve list. Every refusal,
+    with its reported breakpoint, is therefore the oracle's, and float
+    summation order cannot flip a verdict: within the margin the
+    oracle decides. Slope sums are compensated (Neumaier), so their
+    error stays within a few ulps of the current sum however many
+    updates a long-running link applies. *)
+
+module Ledger : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> Curve.Service_curve.t -> unit
+
+  val remove : t -> Curve.Service_curve.t -> unit
+  (** Remove one copy of a curve previously {!add}ed.
+      @raise Invalid_argument if no curve with its knee is present. *)
+
+  val curves : t -> int
+  (** How many curves the ledger sums. *)
+
+  val breakpoints : t -> int
+  (** k: the number of distinct knees. *)
+
+  val same_sum : t -> t -> bool
+  (** The same knees, as many curves at each, and slope sums equal to
+      within [1e-9] relative: how an audit compares a ledger kept by
+      updates with one rebuilt from the curves. *)
+
+  val clears :
+    t ->
+    ?drop:Curve.Service_curve.t ->
+    ?extra:Curve.Service_curve.t ->
+    capacity:Curve.Service_curve.t ->
+    unit ->
+    bool
+  (** Whether the ledger's sum, minus [drop] and plus [extra], stays
+      clear of [capacity] by the margin at every knee and
+      asymptotically. [true] implies {!violating_breakpoint} finds no
+      violation on the same curves; [false] means "ask it". Pure. *)
+end

@@ -14,6 +14,11 @@ let sm_mask = (1 lsl sm_shift) - 1
 let ism_mask = (1 lsl ism_shift) - 1
 let ht_infinity = max_int
 
+(* seg_x2y multiplies the low [sm_shift] bits of a tick count by [sm]:
+   (2^30 - 1) * sm stays below 2^62 only while sm, which is the slope in
+   B/s, stays below 2^32. *)
+let max_slope = ldexp 1. 32
+
 let ticks_of_seconds s = int_of_float (s *. tick_hz)
 
 let seconds_of_ticks k =

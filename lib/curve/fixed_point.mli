@@ -54,6 +54,15 @@ val ht_infinity : int
 (** [max_int] — "never": the inverse of a zero slope, unreachable
     service targets. *)
 
+val max_slope : float
+(** [2^32] B/s (about 34.36 Gbit/s): every slope this module converts
+    must lie strictly below it. {!seg_x2y} multiplies the low
+    [sm_shift] bits of a tick count (up to [2^30 - 1]) by [sm], which
+    is the slope in B/s, so the product stays below [2^62] only for
+    [sm < 2^32]; past it the forward evaluation wraps to garbage. The
+    runtime control plane refuses link rates and curve slopes at or
+    above this bound ([Analysis.Admission.check_rate]). *)
+
 (** {2 Scalar conversions} *)
 
 val ticks_of_seconds : float -> int

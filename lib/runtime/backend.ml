@@ -215,63 +215,113 @@ let of_hfsc ~link_rate sched =
       | Some c -> c
       | None -> invalid_arg (dead_class op)
   in
-  (* Sum of all leaves' rsc with [replace] swapped in for [target] (or
-     appended when [target] is None) must fit under the link curve. *)
-  let check_rsc ~target ~replace =
+  (* Incremental admission (Analysis.Admission.Ledger): one ledger sums
+     every leaf's rsc against the link, and one per interior class sums
+     its children's fsc against its own. The mutations below keep them
+     current after each success; the checks stay pure. *)
+  let module L = Analysis.Admission.Ledger in
+  let no_children = L.create () (* never updated *) in
+  let ledger_in tbl id =
+    match Hashtbl.find_opt tbl id with
+    | Some l -> l
+    | None ->
+        let l = L.create () in
+        Hashtbl.replace tbl id l;
+        l
+  in
+  (* Hfsc refuses children under a class with an rsc, and an rsc on an
+     interior class, so "every rsc" is "every leaf's rsc". *)
+  let enter ~rt ~ls cls =
+    Option.iter (L.add rt) (Hfsc.rsc cls);
+    match (Hfsc.parent cls, Hfsc.fsc cls) with
+    | Some p, Some f -> L.add (ledger_in ls (Hfsc.id p)) f
+    | _ -> ()
+  in
+  let ledgers () =
+    let rt = L.create () and ls = Hashtbl.create 16 in
+    List.iter (enter ~rt ~ls) (Hfsc.classes sched);
+    (rt, ls)
+  in
+  let rt_ledger, ls_ledgers = ledgers () in
+  let ls_ledger cls =
+    Option.value (Hashtbl.find_opt ls_ledgers (Hfsc.id cls)) ~default:no_children
+  in
+  (* The auditor's view: rebuild every ledger from the hierarchy and
+     compare it with the one the mutations kept. *)
+  let ledger_audit () =
+    let rt, ls = ledgers () in
+    let differs id =
+      let get t = Option.value (Hashtbl.find_opt t id) ~default:no_children in
+      not (L.same_sum (get ls) (get ls_ledgers))
+    in
+    (if L.same_sum rt rt_ledger then []
+     else [ "admission: the rsc ledger disagrees with the leaves' curves" ])
+    @ (Hashtbl.fold (fun id _ acc -> id :: acc) ls []
+      @ Hashtbl.fold (fun id _ acc -> id :: acc) ls_ledgers []
+      |> List.sort_uniq compare
+      |> List.filter differs
+      |> List.map
+           (Printf.sprintf
+              "admission: the fsc ledger of class id %d disagrees with its \
+               children's curves"))
+  in
+  (* Every refusal is written by the oracle over the full curve list,
+     built exactly as a re-summing check would build it: the ledger
+     only decides that a change clearly fits. *)
+  let swapped ~target ~replace ~view classes =
     let curves =
       List.filter_map
         (fun c ->
-          match target with
-          | Some tc when tc == c -> replace
-          | _ -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
-        (Hfsc.classes sched)
+          match target with Some tc when tc == c -> replace | _ -> view c)
+        classes
     in
-    let curves =
-      match target with
-      | None -> Option.to_list replace @ curves
-      | Some _ -> curves
+    match target with None -> Option.to_list replace @ curves | Some _ -> curves
+  in
+  (* Sum of all leaves' rsc with [replace] swapped in for [target] (or
+     appended when [target] is None) must fit under the link curve. *)
+  let check_rsc ~target ~replace =
+    let drop =
+      match target with Some c when Hfsc.is_leaf c -> Hfsc.rsc c | _ -> None
     in
-    match
-      Analysis.Admission.violating_breakpoint
-        ~capacity:(Pw.linear ~slope:link_rate) curves
-    with
-    | None -> Ok ()
-    | Some v ->
-        errf Admission_realtime "%s"
-          (pp_violation ~what:"real-time guarantees" v)
+    let capacity = Sc.linear link_rate in
+    if L.clears rt_ledger ?drop ?extra:replace ~capacity () then Ok ()
+    else
+      match
+        Analysis.Admission.violating_breakpoint
+          ~capacity:(Pw.linear ~slope:link_rate)
+          (swapped ~target ~replace
+             ~view:(fun c -> if Hfsc.is_leaf c then Hfsc.rsc c else None)
+             (Hfsc.classes sched))
+      with
+      | None -> Ok ()
+      | Some v ->
+          errf Admission_realtime "%s"
+            (pp_violation ~what:"real-time guarantees" v)
   in
   (* Children's fsc under [parent] — with [replace] for [target], or
-     appended as a prospective new child — must fit under the parent's
-     own fsc. A parent with no fsc of its own constrains nothing. *)
+     appended as a prospective new child — must fit under [capacity]
+     (the parent's own fsc, or the new one a modify proposes). A
+     parent with no fsc of its own constrains nothing. *)
+  let check_children ~parent ~capacity ~target ~replace ~what =
+    let drop = Option.bind target Hfsc.fsc in
+    if L.clears (ls_ledger parent) ?drop ?extra:replace ~capacity () then
+      Ok ()
+    else
+      match
+        Analysis.Admission.violating_breakpoint
+          ~capacity:(Pw.of_service_curve capacity)
+          (swapped ~target ~replace ~view:Hfsc.fsc (Hfsc.children parent))
+      with
+      | None -> Ok ()
+      | Some v -> errf Admission_linkshare "%s" (pp_violation ~what v)
+  in
   let check_fsc_under ~parent ~target ~replace =
     match Hfsc.fsc parent with
     | None -> Ok ()
-    | Some pfsc -> (
-        let curves =
-          List.filter_map
-            (fun c ->
-              match target with
-              | Some tc when tc == c -> replace
-              | _ -> Hfsc.fsc c)
-            (Hfsc.children parent)
-        in
-        let curves =
-          match target with
-          | None -> Option.to_list replace @ curves
-          | Some _ -> curves
-        in
-        match
-          Analysis.Admission.violating_breakpoint
-            ~capacity:(Pw.of_service_curve pfsc) curves
-        with
-        | None -> Ok ()
-        | Some v ->
-            errf Admission_linkshare "%s"
-              (pp_violation
-                 ~what:
-                   (Printf.sprintf "link-sharing under class %S"
-                      (Hfsc.name parent))
-                 v))
+    | Some capacity ->
+        check_children ~parent ~capacity ~target ~replace
+          ~what:
+            (Printf.sprintf "link-sharing under class %S" (Hfsc.name parent))
   in
   (* An upper-limit curve below the class's own rsc would let the
      real-time criterion promise service the ulimit then forbids. *)
@@ -290,7 +340,9 @@ let of_hfsc ~link_rate sched =
     | _ -> Ok ()
   in
   let ( let* ) = Result.bind in
-  let admit_add ~parent ~name (p : params) =
+  (* Common to add and modify: no quantum, and every slope inside the
+     fixed-point envelope the scheduler computes in. *)
+  let check_params ~name (p : params) =
     let* () =
       match p.quantum with
       | Some _ ->
@@ -300,6 +352,21 @@ let of_hfsc ~link_rate sched =
             name
       | None -> Ok ()
     in
+    let envelope tag = function
+      | None -> Ok ()
+      | Some s ->
+          Result.map_error
+            (fun message -> { code = Bad_value; message })
+            (Analysis.Admission.check_curve
+               ~what:(Printf.sprintf "class %S: %s" name tag)
+               s)
+    in
+    let* () = envelope "rsc" p.rsc in
+    let* () = envelope "fsc" p.fsc in
+    envelope "ulimit" p.usc
+  in
+  let admit_add ~parent ~name (p : params) =
+    let* () = check_params ~name p in
     let parent_cls = get "admit_add" parent in
     let* () =
       match p.rsc with
@@ -313,15 +380,7 @@ let of_hfsc ~link_rate sched =
     check_usc ~name ~rsc:p.rsc ~usc:p.usc
   in
   let admit_modify ~id ~name (p : params) =
-    let* () =
-      match p.quantum with
-      | Some _ ->
-          errf Bad_value
-            "class %S: quantum applies to rr-backend links (hfsc classes \
-             take curves)"
-            name
-      | None -> Ok ()
-    in
+    let* () = check_params ~name p in
     let cls = get "admit_modify" id in
     let* () =
       match p.rsc with
@@ -337,20 +396,9 @@ let of_hfsc ~link_rate sched =
     (* an interior class's new fsc must still cover its own children *)
     let* () =
       match p.fsc with
-      | Some nfsc when not (Hfsc.is_leaf cls) -> (
-          match
-            Analysis.Admission.violating_breakpoint
-              ~capacity:(Pw.of_service_curve nfsc)
-              (List.filter_map Hfsc.fsc (Hfsc.children cls))
-          with
-          | None -> Ok ()
-          | Some v ->
-              errf Admission_linkshare "%s"
-                (pp_violation
-                   ~what:
-                     (Printf.sprintf "children of class %S against its new fsc"
-                        name)
-                   v))
+      | Some nfsc when not (Hfsc.is_leaf cls) ->
+          check_children ~parent:cls ~capacity:nfsc ~target:None ~replace:None
+            ~what:(Printf.sprintf "children of class %S against its new fsc" name)
       | _ -> Ok ()
     in
     let eff_rsc = match p.rsc with Some _ as r -> r | None -> Hfsc.rsc cls in
@@ -365,6 +413,7 @@ let of_hfsc ~link_rate sched =
     with
     | cls ->
         put cls;
+        enter ~rt:rt_ledger ~ls:ls_ledgers cls;
         Ok (Hfsc.id cls)
     | exception Invalid_argument e -> of_invalid e
   in
@@ -374,22 +423,43 @@ let of_hfsc ~link_rate sched =
        mutations (e.g. the class going curveless), so roll the class
        back to the snapshot on any refusal *)
     let snap = Hfsc.snapshot_class cls in
-    try
+    let old_rsc = Hfsc.rsc cls and old_fsc = Hfsc.fsc cls in
+    match
       if p.rsc <> None || p.fsc <> None || p.usc <> None then
         Hfsc.set_curves sched cls ?rsc:p.rsc ?fsc:p.fsc ?usc:p.usc ();
-      (match (qlimit, qbytes) with
+      match (qlimit, qbytes) with
       | None, None -> ()
-      | _ -> Hfsc.set_class_limits sched cls ?pkts:qlimit ?bytes:qbytes ());
-      Ok ()
-    with Invalid_argument e ->
-      Hfsc.restore_class cls snap;
-      of_invalid e
+      | _ -> Hfsc.set_class_limits sched cls ?pkts:qlimit ?bytes:qbytes ()
+    with
+    | () ->
+        (* the ledgers follow only a change that stuck *)
+        (match (p.rsc, Hfsc.rsc cls) with
+        | Some _, Some now ->
+            Option.iter (L.remove rt_ledger) old_rsc;
+            L.add rt_ledger now
+        | _ -> ());
+        (match (p.fsc, Hfsc.fsc cls, Hfsc.parent cls) with
+        | Some _, Some now, Some par ->
+            let l = ledger_in ls_ledgers (Hfsc.id par) in
+            Option.iter (L.remove l) old_fsc;
+            L.add l now
+        | _ -> ());
+        Ok ()
+    | exception Invalid_argument e ->
+        Hfsc.restore_class cls snap;
+        of_invalid e
   in
   let remove_class ~id =
     let cls = get "remove_class" id in
+    let parent = Hfsc.parent cls in
     match Hfsc.remove_class sched cls with
     | () ->
         !byid.(id) <- None;
+        Option.iter (L.remove rt_ledger) (Hfsc.rsc cls);
+        (match (parent, Hfsc.fsc cls) with
+        | Some p, Some f -> L.remove (ledger_in ls_ledgers (Hfsc.id p)) f
+        | _ -> ());
+        Hashtbl.remove ls_ledgers id;
         Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
@@ -474,7 +544,7 @@ let of_hfsc ~link_rate sched =
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hfsc.backlog_pkts sched);
     backlog_bytes = (fun () -> Hfsc.backlog_bytes sched);
-    audit = (fun () -> Hfsc.audit sched);
+    audit = (fun () -> Hfsc.audit sched @ ledger_audit ());
   }
 
 (* --- hierarchical round-robin over the record ------------------------ *)

@@ -23,8 +23,21 @@
     — they never mutate — and the control plane calls them before the
     corresponding mutation. For H-FSC they are the paper's SCED
     feasibility tests at every curve breakpoint (leaves' rsc vs the
-    link, children's fsc vs the parent, ulimit vs own rsc); for
-    round-robin the analogue is O(1) arithmetic: a quantum must lie in
+    link, children's fsc vs the parent, ulimit vs own rsc), plus the
+    fixed-point envelope: every rsc, fsc and ulimit slope must lie
+    below {!Curve.Fixed_point.max_slope} ({!Bad_value} otherwise).
+    The sums are kept incrementally in breakpoint ledgers
+    ({!Analysis.Admission.Ledger}), one for the link's leaf rsc and
+    one per interior class for its children's fsc, which
+    [add_class]/[modify_class]/[remove_class] update after they
+    succeed (O(log k) for k distinct curve knees). A check costs O(k)
+    when the ledger shows the change clearly fits; near or over a
+    bound it falls back to {!Analysis.Admission.violating_breakpoint}
+    over the full curve list, so every refusal and its message is the
+    oracle's. The ledgers follow the backend's own mutations only:
+    changing the wrapped [raw_hfsc] directly after wrapping it
+    desynchronises them, which [audit] reports. For round-robin the
+    analogue is O(1) arithmetic: a quantum must lie in
     [[1, Sched.Hls.max_quantum]] and the quanta under any one parent
     must sum to at most {!Sched.Hls.max_round_bytes} (one round of a
     parent bounds a newly backlogged child's wait). Mutations
@@ -173,7 +186,9 @@ type t = {
   next_ready : now:float -> float option;
   backlog_pkts : unit -> int;
   backlog_bytes : unit -> int;
-  audit : unit -> string list;  (** structural invariants; [] = healthy *)
+  audit : unit -> string list;
+      (** structural invariants, and on hfsc the admission ledgers
+          against ones rebuilt from the hierarchy; [] = healthy *)
 }
 
 (** {2 Constructors} *)

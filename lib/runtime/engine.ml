@@ -36,6 +36,8 @@ type t = {
   link_rate : float;
   tele : Telemetry.t;
   flows : (int, int) Hashtbl.t; (* flow id -> class id *)
+  class_flows : (int, int list) Hashtbl.t;
+      (* the reverse index: class id -> its flows, ascending *)
   (* in match order; the spec is retained alongside the compiled rule
      so a checkpoint can re-emit the exact [attach filter] command *)
   mutable filters : (Command.filter_spec * Classify.Rules.rule) list;
@@ -43,6 +45,12 @@ type t = {
   audit_every : int; (* <= 0 disables the periodic invariant audit *)
   mutable ops : int; (* ops since the last audit *)
 }
+
+let map_flow t flow id =
+  Hashtbl.replace t.flows flow id;
+  Hashtbl.replace t.class_flows id
+    (List.merge compare [ flow ]
+       (Option.value (Hashtbl.find_opt t.class_flows id) ~default:[]))
 
 let announce t id =
   Telemetry.ensure_class t.tele ~id;
@@ -56,6 +64,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
       link_rate = be.Backend.link_rate;
       tele = Telemetry.create ?trace_capacity ?tracing ();
       flows = Hashtbl.create 16;
+      class_flows = Hashtbl.create 16;
       filters = [];
       table = Classify.Rules.create [];
       audit_every;
@@ -69,7 +78,7 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
         invalid_arg "Engine.create: flow mapped to interior class";
       if Hashtbl.mem t.flows flow then
         invalid_arg "Engine.create: duplicate flow id";
-      Hashtbl.replace t.flows flow id)
+      map_flow t flow id)
     flow_map;
   (* every drop — refused arrival or eviction — lands in telemetry,
      charged to the queue that lost the packet *)
@@ -148,6 +157,20 @@ let audit t =
             (t.be.Backend.cls_name id)
           :: !errs)
     t.flows;
+  Hashtbl.iter
+    (fun id fs ->
+      List.iter
+        (fun f ->
+          if Hashtbl.find_opt t.flows f <> Some id then
+            errs :=
+              Printf.sprintf "reverse index lists flow %d under class %d" f id
+              :: !errs)
+        fs)
+    t.class_flows;
+  if
+    Hashtbl.fold (fun _ fs n -> n + List.length fs) t.class_flows 0
+    <> Hashtbl.length t.flows
+  then errs := "reverse index and flow map differ in size" :: !errs;
   t.be.Backend.audit () @ List.rev !errs
 
 let maybe_audit t =
@@ -189,7 +212,7 @@ let exec_add t (a : Command.curve_updates) ~name ~parent ~flow ~quantum
   let* () = t.be.Backend.admit_add ~parent:parent_id ~name p in
   let* id = t.be.Backend.add_class ~parent:parent_id ~name p ~qlimit ~qbytes in
   announce t id;
-  (match flow with Some f -> Hashtbl.replace t.flows f id | None -> ());
+  (match flow with Some f -> map_flow t f id | None -> ());
   Ok
     (Printf.sprintf "added class %S (id %d) under %S%s" name id parent
        (match flow with
@@ -210,17 +233,19 @@ let exec_delete t ~name =
   let* id = find t name in
   let* () = t.be.Backend.remove_class ~id in
   let dead =
-    Hashtbl.fold (fun f c acc -> if c = id then f :: acc else acc) t.flows []
+    Option.value (Hashtbl.find_opt t.class_flows id) ~default:[]
   in
+  Hashtbl.remove t.class_flows id;
   List.iter (Hashtbl.remove t.flows) dead;
   Ok
-    (Printf.sprintf "deleted class %S%s" name
-       (match dead with
-       | [] -> ""
-       | fs ->
-           Printf.sprintf " (unmapped flow%s %s)"
-             (if List.length fs > 1 then "s" else "")
-             (String.concat ", " (List.map string_of_int fs))))
+    ( Printf.sprintf "deleted class %S%s" name
+        (match dead with
+        | [] -> ""
+        | fs ->
+            Printf.sprintf " (unmapped flow%s %s)"
+              (if List.length fs > 1 then "s" else "")
+              (String.concat ", " (List.map string_of_int fs))),
+      dead )
 
 let rebuild_table t =
   t.table <- Classify.Rules.create (List.map snd t.filters)
@@ -389,27 +414,28 @@ let stats_text t ?cls () =
 
 (* --- exec ---------------------------------------------------------- *)
 
-let exec_op t ~now op =
+let exec_op_unmapped t ~now op =
   ignore now;
+  let text r = Result.map (fun s -> (s, [])) r in
   let r =
     match (op : Command.op) with
     | Add_class { name; parent; flow; curves; quantum; qlimit; qbytes } ->
-        exec_add t curves ~name ~parent ~flow ~quantum ~qlimit ~qbytes
+        text (exec_add t curves ~name ~parent ~flow ~quantum ~qlimit ~qbytes)
     | Modify_class { name; curves; quantum; qlimit; qbytes } ->
-        exec_modify t curves ~name ~quantum ~qlimit ~qbytes
+        text (exec_modify t curves ~name ~quantum ~qlimit ~qbytes)
     | Delete_class name -> exec_delete t ~name
-    | Attach_filter f -> exec_attach t f
-    | Detach_filter flow -> exec_detach t flow
-    | Stats cls -> stats_text t ?cls ()
+    | Attach_filter f -> text (exec_attach t f)
+    | Detach_filter flow -> text (exec_detach t flow)
+    | Stats cls -> text (stats_text t ?cls ())
     | Trace Trace_on ->
         Telemetry.set_tracing t.tele true;
-        Ok "trace on"
+        Ok ("trace on", [])
     | Trace Trace_off ->
         Telemetry.set_tracing t.tele false;
-        Ok "trace off"
-    | Trace Trace_dump -> Ok (Telemetry.trace_text t.tele)
+        Ok ("trace off", [])
+    | Trace Trace_dump -> Ok (Telemetry.trace_text t.tele, [])
     | Set_limit { lpkts; lbytes; lpolicy } ->
-        exec_limit t ~lpkts ~lbytes ~lpolicy
+        text (exec_limit t ~lpkts ~lbytes ~lpolicy)
     | Link_add _ | Link_delete _ | Link_list ->
         errf Structural
           "link management needs a router control plane (this is a \
@@ -417,6 +443,8 @@ let exec_op t ~now op =
   in
   maybe_audit t;
   r
+
+let exec_op t ~now op = Result.map fst (exec_op_unmapped t ~now op)
 
 let exec t ~now { Command.target; op } =
   match target with
@@ -441,16 +469,16 @@ let exec_script ?(lenient = false) t cmds =
 
 (* --- checkpoint & config fingerprint ------------------------------- *)
 
-(* Smallest flow id mapped to [id], if any. A class grown through the
-   command grammar has at most one flow; config-built multi-flow classes
-   lose the extras in a checkpoint, which {!config_fingerprint} (hashing
-   the full map) makes visible rather than silent. *)
+(* Smallest flow id mapped to [id], if any (the reverse index keeps
+   each class's flows ascending). A class grown through the command
+   grammar has at most one flow; multi-flow classes made by [create
+   ~flow_map] lose the extras in a checkpoint, which
+   {!config_fingerprint} (hashing the full map) makes visible rather
+   than silent. *)
 let flow_for t id =
-  Hashtbl.fold
-    (fun f c acc ->
-      if c <> id then acc
-      else match acc with Some g when g < f -> acc | _ -> Some f)
-    t.flows None
+  match Hashtbl.find_opt t.class_flows id with
+  | Some (f :: _) -> Some f
+  | _ -> None
 
 (* Replaying these ops into a fresh engine over the same link rate and
    backend rebuilds the control plane exactly: classes in creation

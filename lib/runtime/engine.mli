@@ -25,6 +25,10 @@
     breakpoint (time, demand, capacity). A third rule guards upper
     limits: a class's ulimit curve must dominate its own rsc, else the
     real-time criterion would promise service the ulimit forbids.
+    Slopes at or above {!Curve.Fixed_point.max_slope} (2^32 B/s) are
+    refused with {!Bad_value}: the scheduler's fixed-point arithmetic
+    cannot carry them. The sums are kept incrementally (see
+    {!Backend}'s admission contract).
 
     For round-robin, the analogue is O(1) arithmetic: a quantum must be
     positive and at most {!Sched.Hls.max_quantum}, and the quanta of
@@ -223,6 +227,15 @@ val exec_op : t -> now:float -> Command.op -> (string, error) result
     the message. The scheduler is never left half-modified. The router
     verbs ([Link_add]/[Link_delete]/[Link_list]) are rejected with
     {!Structural}: link management belongs to {!Router}. *)
+
+val exec_op_unmapped :
+  t -> now:float -> Command.op -> (string * int list, error) result
+(** {!exec_op}, also returning the flows the operation unmapped,
+    ascending: those of the class a successful [Delete_class] removed,
+    and [[]] for every other operation. Together with the flow a
+    successful [Add_class] names in its own op, this is the complete
+    change an operation makes to {!flows} — the delta the routers apply
+    to their flow directory, with no reply text to parse. *)
 
 val exec : t -> now:float -> Command.t -> (string, error) result
 (** {!exec_op} on the command's operation when its target is

@@ -33,7 +33,9 @@ module Ring = Ds.Spsc_ring
 (* --- completion cells -------------------------------------------------- *)
 
 type reply =
-  | R_exec of (string, Engine.error) result
+  | R_exec of (string * int list, Engine.error) result
+      (* a control op's reply and the flows it unmapped *)
+  | R_text of (string, Engine.error) result
   | R_count of int
   | R_bool of bool
   | R_flows of int list
@@ -201,7 +203,7 @@ let serve_query eng q =
         }
   | Q_audit -> R_strings (Engine.audit eng)
   | Q_snapshot -> R_snapshot (Engine.snapshot eng)
-  | Q_stats_text -> R_exec (Engine.stats_text eng ())
+  | Q_stats_text -> R_text (Engine.stats_text eng ())
   | Q_stats_json -> R_json (Engine.stats_json eng)
   | Q_has_filter f -> R_bool (Engine.has_filter eng f)
   | Q_next_ready now -> R_next_ready (Engine.next_ready_time eng ~now)
@@ -249,7 +251,7 @@ let serve_msg (p, bcache) msg =
       | n -> fill d_cell (R_count n)
       | exception e -> fill d_cell (R_raise e))
   | M_exec { x_now; x_op; x_cell } -> (
-      match Engine.exec_op p.p_eng ~now:x_now x_op with
+      match Engine.exec_op_unmapped p.p_eng ~now:x_now x_op with
       | r -> fill x_cell (R_exec r)
       | exception e -> fill x_cell (R_raise e))
   | M_query { q; q_cell } -> (
@@ -505,7 +507,7 @@ let mc_ops : port Router_core.ops =
           ~failed:(fun e -> down_error p e)
           (fun () ->
             match query p Q_stats_text with
-            | R_exec r -> r
+            | R_text r -> r
             | _ -> assert false));
     op_checkpoint =
       (fun p ->

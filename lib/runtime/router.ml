@@ -9,7 +9,7 @@ type t = Engine.t Router_core.t
 
 let seq_ops : Engine.t Router_core.ops =
   {
-    Router_core.op_exec = Engine.exec_op;
+    Router_core.op_exec = Engine.exec_op_unmapped;
     op_flows = Engine.flows;
     op_rules = Engine.rules;
     op_has_filter = Engine.has_filter;

@@ -26,8 +26,11 @@ type info = {
 (* The port operations. All of them are control-plane calls: they may
    block (ring round trip) and may allocate. *)
 type 'p ops = {
-  op_exec : 'p -> now:float -> Command.op -> (string, Engine.error) result;
-  op_flows : 'p -> int list;
+  op_exec :
+    'p -> now:float -> Command.op -> (string * int list, Engine.error) result;
+      (* the reply, and the flows the op unmapped
+         (Engine.exec_op_unmapped) *)
+  op_flows : 'p -> int list; (* the engine's flow map, for the auditor *)
   op_rules : 'p -> Classify.Rules.t;
   op_has_filter : 'p -> int -> bool;
   op_info : 'p -> info;
@@ -79,19 +82,6 @@ let rebuild_shard t =
     Classify.Shard.create
       (List.map (fun (name, p) -> (name, t.ops.op_rules p)) t.links)
 
-(* Re-derive the directory entries of one link from its engine's flow
-   map (the engine is the owner; the directory is a cache). *)
-let resync_flows t name port =
-  let stale =
-    Hashtbl.fold
-      (fun f (_, p) acc -> if p == port then f :: acc else acc)
-      t.flow_links []
-  in
-  List.iter (Hashtbl.remove t.flow_links) stale;
-  List.iter
-    (fun f -> Hashtbl.replace t.flow_links f (name, port))
-    (t.ops.op_flows port)
-
 (* The router verbs: a link so named could not be addressed by a
    scoped command, nor could its checkpoint be replayed. *)
 let reserved_link_names = [ "add"; "delete"; "list" ]
@@ -107,7 +97,10 @@ let add_link t ~name ~link_rate ~backend =
   let* () =
     if link_rate <= 0. then
       errf Engine.Bad_value "link rate must be positive, got %g" link_rate
-    else Ok ()
+    else
+      Result.map_error
+        (fun message -> { Engine.code = Engine.Bad_value; message })
+        (Analysis.Admission.check_rate ~what:"link rate" link_rate)
   in
   let port = t.make_port ~name ~link_rate ~backend in
   t.links <- t.links @ [ (name, port) ];
@@ -183,20 +176,23 @@ let precheck t name port (op : Command.op) =
       | _ -> Ok ())
   | _ -> Ok ()
 
-(* After a successful structural op the engine's flow map may have
-   changed (class added with a flow, class deleted unmapping flows);
-   refresh the directory and, on filter changes, the shard. *)
-let postsync t name port (op : Command.op) =
+(* Apply a successful op's own change to the directory (the engine owns
+   the flow map; the directory is a cache kept by delta): an add maps
+   exactly the flow its op names, a delete unmaps exactly the flows the
+   engine reports, a modify never touches the flow map. Filter changes
+   rebuild the shard. *)
+let postsync t name port (op : Command.op) unmapped =
   match op with
-  | Command.Add_class _ | Command.Modify_class _ | Command.Delete_class _ ->
-      resync_flows t name port
+  | Command.Add_class { flow = Some f; _ } ->
+      Hashtbl.replace t.flow_links f (name, port)
+  | Command.Delete_class _ -> List.iter (Hashtbl.remove t.flow_links) unmapped
   | Command.Attach_filter _ | Command.Detach_filter _ -> rebuild_shard t
   | _ -> ()
 
 let exec_on t ~now name port op =
   let* () = precheck t name port op in
-  let* reply = t.ops.op_exec port ~now op in
-  postsync t name port op;
+  let* reply, unmapped = t.ops.op_exec port ~now op in
+  postsync t name port op unmapped;
   Ok reply
 
 (* Unscoped aggregate forms over several links. *)
@@ -205,7 +201,7 @@ let all_links_stats t ~now cls =
     List.filter_map
       (fun (name, p) ->
         match t.ops.op_exec p ~now (Command.Stats cls) with
-        | Ok s -> Some (Printf.sprintf "== link %S ==\n%s" name s)
+        | Ok (s, _) -> Some (Printf.sprintf "== link %S ==\n%s" name s)
         | Error _ -> None)
       t.links
   in
@@ -226,7 +222,7 @@ let all_links_trace t ~now (tr : Command.trace_op) =
                 match
                   t.ops.op_exec p ~now (Command.Trace Command.Trace_dump)
                 with
-                | Ok s -> Printf.sprintf "== link %S ==\n%s" name s
+                | Ok (s, _) -> Printf.sprintf "== link %S ==\n%s" name s
                 | Error _ -> "")
               t.links))
   | Command.Trace_on | Command.Trace_off ->

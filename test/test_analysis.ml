@@ -186,6 +186,101 @@ let test_multihop_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* --- the breakpoint ledger ----------------------------------------------- *)
+
+module L = Analysis.Admission.Ledger
+
+(* Two-piece curves over a small set of knees, concave, convex or
+   linear, and a capacity that is linear or two-piece. *)
+let curve_gen =
+  QCheck2.Gen.(
+    let* m1 = float_range 0. 4000. in
+    let* m2 = float_range 0. 4000. in
+    let* d = oneofl [ 0.; 0.005; 0.01; 0.02; 0.05 ] in
+    return (Sc.make ~m1 ~d ~m2))
+
+let ledger_case_gen =
+  QCheck2.Gen.(
+    let* curves = list_size (int_range 0 12) curve_gen in
+    let* capacity =
+      let* r = float_range 1000. 40000. in
+      let* shape = int_range 0 2 in
+      return
+        (match shape with
+        | 0 -> Sc.linear r
+        | 1 -> Sc.make ~m1:(2. *. r) ~d:0.01 ~m2:r
+        | _ -> Sc.make ~m1:0. ~d:0.01 ~m2:r)
+    in
+    let* drop = if curves = [] then return None else map Option.some (oneofl curves) in
+    let* extra = opt curve_gen in
+    return (curves, capacity, drop, extra))
+
+let ledger_of curves =
+  let l = L.create () in
+  List.iter (L.add l) curves;
+  l
+
+(* The ledger never accepts what the oracle refuses: [clears] implies no
+   violating breakpoint on the same curves. *)
+let ledger_clears_sound =
+  qt ~count:2000 "ledger clears => oracle admits" ledger_case_gen
+    (fun (curves, capacity, drop, extra) ->
+      let rec without x = function
+        | [] -> []
+        | c :: cs -> if c == x then cs else c :: without x cs
+      in
+      let set =
+        Option.to_list extra
+        @ match drop with None -> curves | Some d -> without d curves
+      in
+      (not (L.clears (ledger_of curves) ?drop ?extra ~capacity ()))
+      || Analysis.Admission.violating_breakpoint
+           ~capacity:(P.of_service_curve capacity) set
+         = None)
+
+(* ... and it does accept what fits with room to spare. *)
+let ledger_clears_complete =
+  qt ~count:1000 "ledger clears a set at 90% of its own sum" ledger_case_gen
+    (fun (curves, _, _, _) ->
+      let sum =
+        List.fold_left
+          (fun acc (c : Sc.t) -> acc +. Float.max c.m1 c.m2)
+          1. curves
+      in
+      L.clears (ledger_of curves) ~capacity:(Sc.linear (sum /. 0.9)) ())
+
+let test_ledger_bookkeeping () =
+  let l = L.create () in
+  let c d = Sc.make ~m1:2000. ~d ~m2:1000. in
+  List.iter (fun d -> L.add l (c d)) [ 0.01; 0.02; 0.01; 0.05 ];
+  L.add l (Sc.linear 500.);
+  Alcotest.(check int) "curves" 5 (L.curves l);
+  Alcotest.(check int) "k = distinct knees (linear at 0)" 4 (L.breakpoints l);
+  L.remove l (c 0.01);
+  Alcotest.(check int) "shared knee stays" 4 (L.breakpoints l);
+  L.remove l (c 0.01);
+  Alcotest.(check int) "last curve at a knee drops it" 3 (L.breakpoints l);
+  List.iter (L.remove l) [ c 0.02; c 0.05; Sc.linear 500. ];
+  Alcotest.(check int) "empty" 0 (L.breakpoints l);
+  Alcotest.(check bool) "removing an absent curve raises" true
+    (try
+       L.remove l (c 0.02);
+       false
+     with Invalid_argument _ -> true);
+  (* an exact fit is on the bound: the ledger leaves it to the oracle,
+     which admits it *)
+  let l = ledger_of [ Sc.linear 600.; Sc.linear 400. ] in
+  Alcotest.(check bool) "exact fit is not cleared" false
+    (L.clears l ~capacity:(Sc.linear 1000.) ());
+  Alcotest.(check bool) "oracle admits the exact fit" true
+    (Analysis.Admission.violating_breakpoint
+       ~capacity:(P.linear ~slope:1000.)
+       [ Sc.linear 600.; Sc.linear 400. ]
+    = None);
+  Alcotest.(check bool) "room to spare is cleared" true
+    (L.clears l ~drop:(Sc.linear 400.) ~extra:(Sc.linear 300.)
+       ~capacity:(Sc.linear 1000.) ())
+
 (* --- fairness metrics ----------------------------------------------------- *)
 
 let test_jain () =
@@ -247,6 +342,12 @@ let () =
           Alcotest.test_case "hierarchy consistency" `Quick
             test_hierarchy_consistent;
           admission_scaling;
+        ] );
+      ( "ledger",
+        [
+          ledger_clears_sound;
+          ledger_clears_complete;
+          Alcotest.test_case "bookkeeping" `Quick test_ledger_bookkeeping;
         ] );
       ( "multi_hop",
         [

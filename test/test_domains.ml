@@ -13,6 +13,9 @@
      synchronous query interleaved, pinning the per-port reply-cell
      separation;
    - periodic cross-domain [snapshot]s against the sequential engine's;
+   - both auditors clean after every op (each router keeps its flow
+     directory by delta, so this checks every delta against the
+     engines' flow maps);
    - the final auditor reports, stats exporters, and — after [stop]
      hands the engines back — the full per-engine state fingerprint.
 
@@ -254,12 +257,14 @@ let run_differential ~domains ~seed ~nops =
                  seed !nop flow a b (Lazy.force dump)
          | Drain pick -> drain pick);
          if !nop mod 97 = 0 then compare_snapshots ();
-         if !nop mod 151 = 0 then begin
-           let a = R.audit r and b = M.audit m in
-           if a <> b then
-             fail "seed %d (op %d): auditor reports diverge:\n%s\nvs\n%s" seed
-               !nop (String.concat "\n" a) (String.concat "\n" b)
-         end)
+         (* both directories are kept by delta: audit them against the
+            engines' flow maps after every op *)
+         match (R.audit r, M.audit m) with
+         | [], [] -> ()
+         | a, b ->
+             fail "seed %d (op %d): audit after op:\n%s\nvs\n%s\n%s" seed !nop
+               (String.concat "\n" a) (String.concat "\n" b)
+               (Lazy.force dump))
        ops
    with E.Audit_failure errs ->
      fail "seed %d (%s): audit failed:\n  %s\n%s" seed !ctx

@@ -259,6 +259,43 @@ let min_with_agree =
       in
       Float.abs (got -. exact) <= bound)
 
+(* --- the slope envelope ------------------------------------------------ *)
+
+(* The forward bound holds for every slope below [max_slope], whatever
+   the low bits of the tick count: (2^30 - 1)·sm stays below 2^62. *)
+let forward_bound_to_envelope =
+  qt "seg_x2y bound holds up to max_slope"
+    QCheck2.Gen.(
+      pair
+        (map (fun e -> 2. ** e) (float_range 30. 32.))
+        (int_range 0 (1 lsl 40)))
+    (fun (m, x) ->
+      let m = Float.min m (Fp.max_slope -. 1.) in
+      let got = float_of_int (Fp.seg_x2y x (Fp.m2sm m)) in
+      let exact = float_of_int x *. m /. Fp.tick_hz in
+      let bound = (float_of_int x /. Fp.tick_hz /. 2.) +. 1. in
+      Float.abs (got -. exact) <= bound +. 1e-3)
+
+let test_envelope_edges () =
+  Alcotest.(check (float 0.)) "max_slope is 2^32 B/s" 4294967296. Fp.max_slope;
+  (* one second less a tick, at the largest admitted slope: exact *)
+  let x = (1 lsl Fp.tick_shift) - 1 in
+  let m = Fp.max_slope -. 1. in
+  let exact = float_of_int x *. m /. Fp.tick_hz in
+  Alcotest.(check bool) "just inside: within a byte" true
+    (Float.abs (float_of_int (Fp.seg_x2y x (Fp.m2sm m)) -. exact) <= 1.5);
+  (* past the bound the low-bits product wraps: the reason for it *)
+  let m = 2. *. Fp.max_slope in
+  let exact = float_of_int x *. m /. Fp.tick_hz in
+  Alcotest.(check bool) "outside: the split multiply wraps" true
+    (Float.abs (float_of_int (Fp.seg_x2y x (Fp.m2sm m)) -. exact) > 1e6);
+  Alcotest.(check bool) "check_rate refuses the bound itself" true
+    (Result.is_error
+       (Analysis.Admission.check_rate ~what:"rate" Fp.max_slope));
+  Alcotest.(check bool) "check_rate admits just below" true
+    (Result.is_ok
+       (Analysis.Admission.check_rate ~what:"rate" (Fp.max_slope -. 1.)))
+
 let () =
   Alcotest.run "fixedpoint"
     [
@@ -279,4 +316,9 @@ let () =
           isc_consistent;
         ] );
       ("min_with", [ min_with_agree ]);
+      ( "envelope",
+        [
+          forward_bound_to_envelope;
+          Alcotest.test_case "edges" `Quick test_envelope_edges;
+        ] );
     ]

@@ -16,10 +16,19 @@
      from [Netsim.Faults]; every rejected command must leave the
      observable engine state byte-identical;
 
+   - router fuzz: the same over three links with link churn; the
+     router's auditor (flow directory against every engine's flow map,
+     both ways) runs after every op, not only at the end;
+
    - generated configurations: random hierarchies rendered as config
      files either load, and then survive a restart (their checkpoint
      replays strictly to an equal fingerprint), or are refused at load
      with a typed admission code.
+
+   On every add and modify of the engine, router and configuration
+   streams, the runtime's incremental admission is compared with the
+   re-summing reference in [Admission_ref]: same verdict, code and
+   message.
 
    Every failure report ends with a replayable dump of the exact op
    stream (OCaml literals for the scheduler layer, one line per op for
@@ -160,6 +169,9 @@ let engine_fuzz ~seed ~nops =
              match Runtime.Command.parse line with
              | Error _ -> () (* garbage stops at the parser *)
              | Ok cmd -> (
+                 (try Admission_ref.check_op eng cmd.Runtime.Command.op
+                  with Failure m ->
+                    fail "seed %d: %s: %s\n%s" seed line m (Lazy.force dump));
                  let before = fingerprint eng in
                  match E.exec eng ~now:!now cmd with
                  | Ok _ -> incr applied
@@ -277,8 +289,11 @@ let router_fuzz ~seed ~nops =
              match Runtime.Command.parse line with
              | Error _ -> ()
              | Ok cmd -> (
+                 (try Admission_ref.check_router_cmd r cmd
+                  with Failure m ->
+                    fail "seed %d: %s: %s\n%s" seed line m (Lazy.force dump));
                  let before = router_fingerprint r in
-                 match R.exec r ~now:!now cmd with
+                 (match R.exec r ~now:!now cmd with
                  | Ok _ -> incr applied
                  | Error _ ->
                      incr rejected;
@@ -286,7 +301,13 @@ let router_fuzz ~seed ~nops =
                        fail
                          "seed %d: rejected router command mutated state: \
                           %s\n%s"
-                         seed line (Lazy.force dump)))
+                         seed line (Lazy.force dump));
+                 match R.audit r with
+                 | [] -> ()
+                 | errs ->
+                     fail "seed %d: router audit after %s:\n  %s\n%s" seed line
+                       (String.concat "\n  " errs)
+                       (Lazy.force dump)))
          | Pkt (flow, size) ->
              incr seq;
              ignore
@@ -380,7 +401,12 @@ let config_fuzz ~seed ~configs =
     | Error e -> fail "seed %d: generated config does not parse: %s\n%s" seed e text
     | Ok cfg -> (
         let r = Runtime.Router.create () in
-        match Config.apply cfg ~exec:(Runtime.Router.exec r ~now:0.) with
+        let exec cmd =
+          (try Admission_ref.check_router_cmd r cmd
+           with Failure m -> fail "seed %d: %s\n%s" seed m text);
+          Runtime.Router.exec r ~now:0. cmd
+        in
+        match Config.apply cfg ~exec with
         | Ok () ->
             incr loaded;
             if not (Config_fixture.replays_to_same_fingerprint r) then
@@ -431,7 +457,9 @@ let () =
     "fuzz ok: %d seed%s x %d ops: scheduler and batched paths match the \
      reference under audit; engine applied %d and rejected %d commands with \
      state intact; router (3 links + churn) applied %d and rejected %d; \
-     generated configs: %d loaded and restarted, %d refused at load\n"
+     generated configs: %d loaded and restarted, %d refused at load; %d \
+     admission checks equal the re-summing reference\n"
     seeds
     (if seeds = 1 then "" else "s")
     nops !applied !rejected !r_applied !r_rejected !c_loaded !c_refused
+    !Admission_ref.checks

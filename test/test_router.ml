@@ -399,6 +399,144 @@ let test_shard_classify () =
   Alcotest.(check bool) "no filter matches" true
     (R.classify r (hdr ~src:"172.16.0.9" ~proto:Pkt.Header.Tcp) = None)
 
+(* --- the fixed-point envelope ------------------------------------------ *)
+
+(* Rates and slopes at or above 2^32 B/s would overflow the scheduler's
+   split multiply, so the control plane refuses them as bad values,
+   naming the bound; the largest representable value below it is
+   accepted. *)
+let test_rate_envelope () =
+  let r = R.create () in
+  let refused what line =
+    let res = exec1 r ~now:0. line in
+    check_code what "bad-value" res;
+    match res with
+    | Error e ->
+        Alcotest.(check bool)
+          (what ^ " names the bound") true
+          (contains (E.error_message e) "2^32 B/s")
+    | Ok _ -> ()
+  in
+  refused "40Gbit link" "link add fast rate 40Gbit";
+  refused "2^32 B/s link" "link add edge rate 4294967296Bps";
+  refused "rr link" "link add bulk rate 100Gbit backend rr";
+  Alcotest.(check int) "refused links never appear" 0 (R.link_count r);
+  ignore (ok_exec (exec1 r ~now:0. "link add big rate 4294967295Bps"));
+  ignore (ok_exec (exec1 r ~now:0. "link add core rate 10Gbit"));
+  refused "fsc slope" "link core add class a parent root fsc 40Gbit";
+  refused "rsc first slope"
+    "link core add class b parent root rsc m1 4294967296Bps d 1ms m2 1Mbit";
+  refused "rsc second slope"
+    "link core add class c parent root rsc m1 0Bps d 1ms m2 50Gbit fsc 1Mbit";
+  refused "ulimit slope" "link core add class d parent root fsc 1Mbit ulimit 40Gbit";
+  ignore
+    (ok_exec (exec1 r ~now:0. "link core add class e parent root flow 1 fsc 1Gbit"));
+  refused "modify fsc" "link core modify class e fsc 40Gbit";
+  refused "modify ulimit" "link core modify class e ulimit 40Gbit";
+  (* the fault injector's over-rate line is still refused *)
+  Alcotest.(check bool) "100Gbit fault line refused" true
+    (match C.parse "add class root.hog rsc rate 100Gbit" with
+    | Error _ -> true
+    | Ok cmd -> Result.is_error (R.exec r ~now:0. cmd))
+
+(* --- the flow directory, kept by delta ----------------------------------- *)
+
+(* The routers apply each op's own flow delta to their directory instead
+   of re-reading the engines' flow maps. Drive a stream that adds
+   classes with and without flows, deletes flowed classes, throws
+   refused ops (which must leave the directory untouched) and adds and
+   deletes a whole link, through the sequential and the multicore
+   router alike, and audit both directories after every op. *)
+let directory_pool =
+  [|
+    "link l0 add class f1 parent root flow 11 fsc 0.2Mbit";
+    "link l0 add class n1 parent root fsc 0.2Mbit";
+    "link l1 add class f2 parent root flow 12 rsc 0.1Mbit";
+    "link l1 add class n2 parent root fsc 0.1Mbit";
+    "link l0 delete class f1";
+    "link l0 delete class n1";
+    "link l1 delete class f2";
+    "link l1 delete class n2";
+    "link l0 add class g parent root fsc 0.3Mbit";
+    "link l0 add class g1 parent g flow 13 fsc 0.1Mbit";
+    "link l0 delete class g1";
+    "link l0 delete class g";
+    "link l1 add class x1 parent root flow 11 fsc 0.1Mbit";
+    "link l0 add class big parent root flow 14 fsc 5Mbit";
+    "link l1 add class rt parent root flow 15 rsc 2Mbit";
+    "link l0 modify class f1 fsc 0.3Mbit";
+    "link l0 delete class nowhere";
+    "link add l2 rate 1Mbit";
+    "link l2 add class y parent root flow 16 fsc 0.5Mbit";
+    "link l2 add class z parent root fsc 0.2Mbit";
+    "link delete l2";
+  |]
+
+let test_directory_by_delta () =
+  let r = R.create ~audit_every:16 () in
+  let m = Runtime.Mc_router.create ~audit_every:16 ~domains:1 () in
+  let both line =
+    let cmd = ok (C.parse line) in
+    (R.exec r ~now:0. cmd, Runtime.Mc_router.exec m ~now:0. cmd)
+  in
+  List.iter
+    (fun l -> ignore (both l))
+    [ "link add l0 rate 1Mbit"; "link add l1 rate 1Mbit" ];
+  let directory link_of_flow =
+    List.filter_map
+      (fun f -> Option.map (fun l -> (f, l)) (link_of_flow f))
+      (List.init 20 Fun.id)
+  in
+  let covered = Hashtbl.create 8 in
+  let cover k = Hashtbl.replace covered k () in
+  let rng = Random.State.make [| 0xd1; 0 |] in
+  for nth = 1 to 600 do
+    let line =
+      directory_pool.(Random.State.int rng (Array.length directory_pool))
+    in
+    let before = directory (R.link_of_flow r) in
+    let a, b = both line in
+    Alcotest.(check string)
+      (Printf.sprintf "op %d (%s): same reply" nth line)
+      (resp a) (resp b);
+    let op = (ok (C.parse line)).C.op in
+    (match (a, op) with
+    | Error _, _ ->
+        cover "refused";
+        Alcotest.(check (list (pair int string)))
+          (Printf.sprintf "op %d (%s): refused op leaves the directory" nth line)
+          before
+          (directory (R.link_of_flow r))
+    | Ok _, C.Add_class { flow = Some _; _ } -> cover "add with flow"
+    | Ok _, C.Add_class { flow = None; _ } -> cover "add without flow"
+    | Ok reply, C.Delete_class _ when contains reply "unmapped flow" ->
+        cover "delete flowed class"
+    | Ok reply, C.Link_delete _ when contains reply "unmapped flow" ->
+        cover "delete link with flows"
+    | _ -> ());
+    Alcotest.(check (list string))
+      (Printf.sprintf "op %d (%s): sequential audit" nth line)
+      [] (R.audit r);
+    Alcotest.(check (list string))
+      (Printf.sprintf "op %d (%s): multicore audit" nth line)
+      [] (Runtime.Mc_router.audit m);
+    Alcotest.(check (list (pair int string)))
+      (Printf.sprintf "op %d (%s): same directory" nth line)
+      (directory (R.link_of_flow r))
+      (directory (Runtime.Mc_router.link_of_flow m))
+  done;
+  ignore (Runtime.Mc_router.stop m);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("stream covers: " ^ k) true (Hashtbl.mem covered k))
+    [
+      "add with flow";
+      "add without flow";
+      "delete flowed class";
+      "refused";
+      "delete link with flows";
+    ]
+
 let () =
   Alcotest.run "router"
     [
@@ -415,5 +553,9 @@ let () =
           Alcotest.test_case "routing and aggregation" `Quick
             test_routing_and_aggregation;
           Alcotest.test_case "sharded classifier" `Quick test_shard_classify;
+          Alcotest.test_case "fixed-point envelope refusals" `Quick
+            test_rate_envelope;
+          Alcotest.test_case "directory kept by delta" `Quick
+            test_directory_by_delta;
         ] );
     ]

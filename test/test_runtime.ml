@@ -720,6 +720,155 @@ let test_limit_command () =
     (E.enqueue_flow eng ~now:0. (pkt ~flow:2 ~seq:2 ~now:0.));
   Alcotest.(check (list string)) "audits clean" [] (E.audit eng)
 
+(* --- incremental admission against the re-summing reference ---------- *)
+
+(* Run [line] on [eng], after checking that the engine's incremental
+   admission answers exactly as the re-summing reference does on the
+   same state; [expect] is "ok" or the refusal's code name. The audit
+   after it compares the kept ledgers with ones rebuilt from the
+   hierarchy. *)
+let step eng line expect =
+  let cmd = ok (C.parse line) in
+  (try Admission_ref.check_op eng cmd.C.op
+   with Failure m -> Alcotest.failf "%s: %s" line m);
+  let r = E.exec eng ~now:0. cmd in
+  Alcotest.(check string)
+    line expect
+    (match r with Ok _ -> "ok" | Error e -> E.error_code_name e.E.code);
+  Alcotest.(check (list string)) (line ^ ": audit") [] (E.audit eng);
+  r
+
+let test_ledger_exact_fit () =
+  let eng =
+    Config_fixture.engine
+      {|
+link rate 10Mbit
+class a parent root flow 1 rsc 5Mbit fsc 1Mbit
+class g parent root fsc 4Mbit
+|}
+  in
+  (* the sum equals the capacity: on the bound, the oracle admits *)
+  ignore (step eng "add class b parent root flow 2 rsc 5Mbit fsc 1Mbit" "ok");
+  ignore
+    (step eng "add class c parent root flow 3 rsc 1Kbit fsc 1Kbit"
+       "admission-realtime");
+  ignore (step eng "add class g1 parent g flow 4 fsc 2Mbit" "ok");
+  ignore (step eng "add class g2 parent g flow 5 fsc 2Mbit" "ok");
+  ignore (step eng "add class g3 parent g flow 6 fsc 1Kbit" "admission-linkshare")
+
+let test_ledger_delete_readd () =
+  let eng =
+    Config_fixture.engine
+      {|
+link rate 10Mbit
+class a parent root flow 1 rsc 5Mbit fsc 1Mbit
+|}
+  in
+  for _ = 1 to 50 do
+    ignore (step eng "add class b parent root flow 2 rsc 5Mbit fsc 1Mbit" "ok");
+    ignore (step eng "delete class b" "ok")
+  done;
+  ignore (step eng "add class b parent root flow 2 rsc 5Mbit fsc 1Mbit" "ok");
+  ignore
+    (step eng "add class c parent root flow 3 rsc 1Kbit fsc 1Kbit"
+       "admission-realtime");
+  ignore (step eng "delete class a" "ok");
+  ignore (step eng "add class c parent root flow 3 rsc 5Mbit fsc 1Mbit" "ok");
+  ignore
+    (step eng "add class d parent root flow 4 rsc 1Kbit fsc 1Kbit"
+       "admission-realtime")
+
+let test_ledger_modify_recurves () =
+  let eng =
+    Config_fixture.engine
+      {|
+link rate 10Mbit
+class a parent root flow 1 rsc 5Mbit fsc 1Mbit
+|}
+  in
+  (* linear 5Mbit -> concave 8Mbit for 10ms, then 2Mbit *)
+  ignore (step eng "modify class a rsc m1 8Mbit d 10ms m2 2Mbit" "ok");
+  (* 3Mbit more fits asymptotically but not at the 10ms knee *)
+  (match
+     step eng "add class b parent root flow 2 rsc 3Mbit fsc 1Mbit"
+       "admission-realtime"
+   with
+  | Error e -> check_contains "knee reported" e.E.message "breakpoint t=0.01s"
+  | Ok _ -> ());
+  ignore (step eng "add class b parent root flow 2 rsc 2Mbit fsc 1Mbit" "ok");
+  ignore (step eng "modify class a rsc 8Mbit" "ok");
+  ignore (step eng "modify class a rsc 9Mbit" "admission-realtime");
+  ignore (step eng "modify class b rsc 1Mbit" "ok");
+  ignore (step eng "modify class a rsc 9Mbit" "ok")
+
+let test_ledger_interior_shrinks () =
+  let eng =
+    Config_fixture.engine
+      {|
+link rate 10Mbit
+class g parent root fsc 4Mbit
+class g1 parent g flow 1 fsc 2Mbit
+class g2 parent g flow 2 fsc 1.5Mbit
+|}
+  in
+  (match step eng "modify class g fsc 3Mbit" "admission-linkshare" with
+  | Error e ->
+      check_contains "names the children" e.E.message
+        "children of class \"g\" against its new fsc"
+  | Ok _ -> ());
+  ignore (step eng "modify class g fsc 3.5Mbit" "ok");
+  ignore (step eng "add class g3 parent g flow 3 fsc 1Kbit" "admission-linkshare");
+  ignore (step eng "modify class g2 fsc 1Mbit" "ok");
+  ignore (step eng "add class g3 parent g flow 3 fsc 0.5Mbit" "ok")
+
+let test_ledger_heterogeneous_dmax () =
+  let eng = Config_fixture.engine "link rate 100Mbit\n" in
+  let n = ref 0 in
+  List.iter
+    (fun dmax ->
+      for _ = 1 to 3 do
+        incr n;
+        ignore
+          (step eng
+             (Printf.sprintf
+                "add class c%d parent root flow %d rsc umax 1500 dmax %dms \
+                 rate 1Mbit"
+                !n !n dmax)
+             "ok")
+      done)
+    [ 1; 2; 5; 10; 20; 50 ];
+  (* six distinct knees; the 18 bursts fit under the link at each, but
+     a 30000 B burst due within 1ms does not fit at the first *)
+  match
+    step eng "add class burst parent root flow 99 rsc umax 30000 dmax 1ms rate 1Mbit"
+      "admission-realtime"
+  with
+  | Error e -> check_contains "a finite knee" e.E.message "breakpoint t="
+  | Ok _ -> ()
+
+(* A class with several flows (only [create ~flow_map] makes one): the
+   engine's class -> flows index gives the checkpoint its smallest flow
+   and the delete its complete, ascending unmapped list. *)
+let test_multi_flow_class () =
+  let t = Hfsc.create ~link_rate:1e6 () in
+  let leaf =
+    Hfsc.add_class t ~parent:(Hfsc.root t) ~name:"leaf" ~fsc:(Sc.linear 5e5) ()
+  in
+  let eng =
+    E.create ~link_rate:1e6 t ~flow_map:[ (7, leaf); (3, leaf); (5, leaf) ] ()
+  in
+  (match E.checkpoint_ops eng with
+  | C.Add_class { flow; _ } :: _ ->
+      Alcotest.(check (option int)) "checkpoint keeps the smallest flow"
+        (Some 3) flow
+  | _ -> Alcotest.fail "checkpoint does not start with the class");
+  Alcotest.(check (pair string (list int)))
+    "delete reports every flow it unmapped"
+    ("deleted class \"leaf\" (unmapped flows 3, 5, 7)", [ 3; 5; 7 ])
+    (ok_exec (E.exec_op_unmapped eng ~now:0. (C.Delete_class "leaf")));
+  Alcotest.(check (list int)) "flow map empty" [] (E.flows eng);
+  Alcotest.(check (list string)) "audit clean" [] (E.audit eng)
+
 let test_usc_admission () =
   let eng = make_engine () in
   (* ulimit dominating the rsc: accepted *)
@@ -1032,6 +1181,18 @@ let () =
             test_admission_fsc_under_parent;
           Alcotest.test_case "ulimit vs rsc" `Quick test_usc_admission;
         ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "exact fit" `Quick test_ledger_exact_fit;
+          Alcotest.test_case "delete then re-add" `Quick
+            test_ledger_delete_readd;
+          Alcotest.test_case "modify re-curves an rsc" `Quick
+            test_ledger_modify_recurves;
+          Alcotest.test_case "interior fsc below its children" `Quick
+            test_ledger_interior_shrinks;
+          Alcotest.test_case "heterogeneous dmax" `Quick
+            test_ledger_heterogeneous_dmax;
+        ] );
       ( "transactional",
         [
           Alcotest.test_case "error paths leave state" `Quick
@@ -1048,6 +1209,7 @@ let () =
             test_exec_script_lenient;
           Alcotest.test_case "exec_script strict" `Quick
             test_exec_script_strict;
+          Alcotest.test_case "multi-flow class" `Quick test_multi_flow_class;
         ] );
       ( "telemetry",
         [
