@@ -15,34 +15,64 @@ type t =
 
 (* --- printing ------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The printer writes straight into the caller's buffer: escapes, pads
+   and integer-valued numbers go in without an intermediate string or a
+   [Printf] call, since a daemon's stats document is mostly integer
+   counters. Only non-integers (and magnitudes from 1e15 up) take
+   [%.17g]. *)
 
-let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+let add_escaped b s =
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let esc =
+      match String.unsafe_get s i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | _ -> ""
+    in
+    if String.length esc > 0 then begin
+      Buffer.add_substring b s !start (i - !start);
+      Buffer.add_string b esc;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring b s !start (n - !start)
+
+let spaces = String.make 64 ' '
+
+let rec add_pad b n =
+  if n <= String.length spaces then Buffer.add_substring b spaces 0 n
+  else begin
+    Buffer.add_string b spaces;
+    add_pad b (n - String.length spaces)
+  end
+
+(* the decimal digits of [n >= 0] *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [%.0f] of an integer-valued float below 1e15 in magnitude is its
+   integer, signed: "-0" for negative zero *)
+let add_num b f =
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char b '-';
+    add_digits b (Float.to_int (Float.abs f))
+  end
+  else Buffer.add_string b (Printf.sprintf "%.17g" f)
 
 let rec print ?(indent = 0) b v =
-  let pad n = String.make n ' ' in
   match v with
   | Null -> Buffer.add_string b "null"
   | Bool x -> Buffer.add_string b (string_of_bool x)
   | Num f ->
       if not (Float.is_finite f) then invalid_arg "Json_lite: non-finite";
-      Buffer.add_string b (num_to_string f)
+      add_num b f
   | Str s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
   | List [] -> Buffer.add_string b "[]"
   | List xs ->
@@ -50,11 +80,11 @@ let rec print ?(indent = 0) b v =
       List.iteri
         (fun i x ->
           if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2));
+          add_pad b (indent + 2);
           print ~indent:(indent + 2) b x)
         xs;
       Buffer.add_char b '\n';
-      Buffer.add_string b (pad indent);
+      add_pad b indent;
       Buffer.add_char b ']'
   | Obj [] -> Buffer.add_string b "{}"
   | Obj kvs ->
@@ -62,14 +92,14 @@ let rec print ?(indent = 0) b v =
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b (pad (indent + 2));
+          add_pad b (indent + 2);
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_string b "\": ";
           print ~indent:(indent + 2) b x)
         kvs;
       Buffer.add_char b '\n';
-      Buffer.add_string b (pad indent);
+      add_pad b indent;
       Buffer.add_char b '}'
 
 let to_string v =

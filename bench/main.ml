@@ -618,15 +618,41 @@ module DomainsBench = struct
       cmds
 
   (* interleave links and classes so every link's sub-batch fills evenly *)
-  let mk_pkts ~links ~per =
+  let mk_pkts ~links ~per ~now =
     Array.init (links * per) (fun k ->
         let j = k mod links in
         let i = k / links mod classes_per_link in
-        Pkt.Packet.make ~flow:(flow_of j i) ~size:1000 ~seq:k ~arrival:0.)
+        Pkt.Packet.make ~flow:(flow_of j i) ~size:1000 ~seq:k ~arrival:now)
 
-  (* far past every deadline, so the drain is scheduler-bound, not
-     clock-bound *)
-  let drain_now = 1e9
+  (* Each row is the median of [trials] enqueue-and-drain rounds on one
+     router built once, so its worker domains are warm after the first.
+     Trial [k] enqueues at [k * epoch] and drains at [(k + 1/2) * epoch]:
+     far past every deadline (20,000 packets of 1000 B at 1 Mbit/s take
+     160 s), so the drain is scheduler-bound, not clock-bound, and time
+     only moves forward across a router's trials. *)
+  let trials = 3
+  let epoch = 1e6
+
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+
+  let timed_trials ~enqueue ~drain_round ~links ~per =
+    median
+      (List.init trials (fun k ->
+           let now = float_of_int k *. epoch in
+           let accepted = enqueue ~now (mk_pkts ~links ~per ~now) in
+           let drain_now = now +. (epoch /. 2.) in
+           let total = ref 0 in
+           let t0 = Unix.gettimeofday () in
+           let stuck = ref false in
+           while (not !stuck) && !total < accepted do
+             let round = drain_round ~now:drain_now in
+             if round = 0 then stuck := true else total := !total + round
+           done;
+           let dt = Unix.gettimeofday () -. t0 in
+           float_of_int !total /. Float.max dt 1e-9))
 
   let mc_throughput ~domains ~links ~per =
     let m = Mc.create ~domains () in
@@ -636,27 +662,23 @@ module DomainsBench = struct
       | Error e -> failwith (Runtime.Engine.error_message e)
     done;
     apply_cmds (fun c -> Mc.exec m ~now:0. c) (class_cmds ~links);
-    let accepted = Mc.enqueue_flow_batch m ~now:0. (mk_pkts ~links ~per) in
     let names = Mc.link_names m in
-    let total = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    let stuck = ref false in
-    while (not !stuck) && !total < accepted do
+    let drain_round ~now =
       List.iter
-        (fun l -> ignore (Mc.post_dequeue m ~link:l ~now:drain_now ~max:burst))
+        (fun l -> ignore (Mc.post_dequeue m ~link:l ~now ~max:burst))
         names;
-      let round = ref 0 in
-      List.iter
-        (fun l ->
-          round :=
-            !round
-            + Mc.finish_dequeue m ~link:l ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> ()))
-        names;
-      if !round = 0 then stuck := true else total := !total + !round
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+      List.fold_left
+        (fun n l ->
+          n + Mc.finish_dequeue m ~link:l ~f:(fun ~pkt:_ ~cls:_ ~rt:_ -> ()))
+        0 names
+    in
+    let v =
+      timed_trials
+        ~enqueue:(fun ~now pkts -> Mc.enqueue_flow_batch m ~now pkts)
+        ~drain_round ~links ~per
+    in
     ignore (Mc.stop m);
-    float_of_int !total /. Float.max dt 1e-9
+    v
 
   let seq_throughput ~links ~per =
     let r = Rt.create () in
@@ -666,25 +688,20 @@ module DomainsBench = struct
       | Error e -> failwith (Runtime.Engine.error_message e)
     done;
     apply_cmds (fun c -> Rt.exec r ~now:0. c) (class_cmds ~links);
-    let accepted = Rt.enqueue_flow_batch r ~now:0. (mk_pkts ~links ~per) in
     let engines = List.map snd (Rt.links r) in
     let b = Runtime.Engine.make_batch ~capacity:burst () in
-    let total = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    let stuck = ref false in
-    while (not !stuck) && !total < accepted do
-      let round = ref 0 in
-      List.iter
-        (fun eng ->
-          round := !round + Runtime.Engine.dequeue_batch eng ~now:drain_now b)
-        engines;
-      if !round = 0 then stuck := true else total := !total + !round
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int !total /. Float.max dt 1e-9
+    timed_trials
+      ~enqueue:(fun ~now pkts -> Rt.enqueue_flow_batch r ~now pkts)
+      ~drain_round:(fun ~now ->
+        List.fold_left
+          (fun n eng -> n + Runtime.Engine.dequeue_batch eng ~now b)
+          0 engines)
+      ~links ~per
 
-  let json ~quota =
-    let per = if quota >= 0.5 then 20_000 else 2_000 in
+  (* the full-quota packet count even in a smoke run: the scaling gate
+     judges these rows, and a shorter drain is too noisy to judge *)
+  let json () =
+    let per = 20_000 in
     let entry ~links ~domains v =
       Json_lite.Obj
         [
@@ -950,7 +967,7 @@ let bench_doc ~quota scens =
       ("telemetry", Tele.json ~quota);
       ("router", RouterBench.json ~quota);
       ("batch", BatchBench.json ~quota);
-      ("router_domains", DomainsBench.json ~quota);
+      ("router_domains", DomainsBench.json ());
       ("rr_scale", ScaleBench.json ~quota);
     ]
 

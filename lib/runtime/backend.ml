@@ -134,6 +134,7 @@ type t = {
   out : out;
   (* views; class handles are the scheduler's dense ids *)
   class_ids : unit -> int list;
+  class_count : unit -> int;
   find_id : string -> int option;
   cls_name : int -> string;
   parent_id : int -> int option;
@@ -182,6 +183,41 @@ type t = {
 
 let dead_class op = Printf.sprintf "Backend.%s: unknown class id" op
 
+(* Dense id -> class, and how many are live. Ids are never reused, so
+   the array only grows. *)
+type 'c registry = { mutable slots : 'c option array; mutable live : int }
+
+let registry () = { slots = Array.make 16 None; live = 0 }
+
+let register r id c =
+  let n = Array.length r.slots in
+  if id >= n then begin
+    let bigger = Array.make (max (id + 1) (2 * n)) None in
+    Array.blit r.slots 0 bigger 0 n;
+    r.slots <- bigger
+  end;
+  (match r.slots.(id) with None -> r.live <- r.live + 1 | Some _ -> ());
+  r.slots.(id) <- Some c
+
+let unregister r id =
+  (match r.slots.(id) with Some _ -> r.live <- r.live - 1 | None -> ());
+  r.slots.(id) <- None
+
+let lookup r op id =
+  if id < 0 || id >= Array.length r.slots then invalid_arg (dead_class op)
+  else
+    match Array.unsafe_get r.slots id with
+    | Some c -> c
+    | None -> invalid_arg (dead_class op)
+
+let registry_audit r classes =
+  if r.live = classes then []
+  else
+    [
+      Printf.sprintf "class count %d disagrees with %d live classes" r.live
+        classes;
+    ]
+
 (* --- H-FSC over the record ------------------------------------------ *)
 
 let pp_violation ~what (at, demand, capacity) =
@@ -195,26 +231,10 @@ let pp_violation ~what (at, demand, capacity) =
       what demand capacity
 
 let of_hfsc ~link_rate sched =
-  (* dense id -> class; ids are never reused so the array only grows *)
-  let byid = ref (Array.make 16 None) in
-  let put cls =
-    let id = Hfsc.id cls in
-    let n = Array.length !byid in
-    if id >= n then begin
-      let bigger = Array.make (max (id + 1) (2 * n)) None in
-      Array.blit !byid 0 bigger 0 n;
-      byid := bigger
-    end;
-    !byid.(id) <- Some cls
-  in
+  let reg = registry () in
+  let put cls = register reg (Hfsc.id cls) cls in
   List.iter put (Hfsc.classes sched);
-  let get op id =
-    if id < 0 || id >= Array.length !byid then invalid_arg (dead_class op)
-    else
-      match Array.unsafe_get !byid id with
-      | Some c -> c
-      | None -> invalid_arg (dead_class op)
-  in
+  let get = lookup reg in
   (* Incremental admission (Analysis.Admission.Ledger): one ledger sums
      every leaf's rsc against the link, and one per interior class sums
      its children's fsc against its own. The mutations below keep them
@@ -454,7 +474,7 @@ let of_hfsc ~link_rate sched =
     let parent = Hfsc.parent cls in
     match Hfsc.remove_class sched cls with
     | () ->
-        !byid.(id) <- None;
+        unregister reg id;
         Option.iter (L.remove rt_ledger) (Hfsc.rsc cls);
         (match (parent, Hfsc.fsc cls) with
         | Some p, Some f -> L.remove (ledger_in ls_ledgers (Hfsc.id p)) f
@@ -504,6 +524,7 @@ let of_hfsc ~link_rate sched =
     raw_hls = None;
     out;
     class_ids = (fun () -> List.map Hfsc.id (Hfsc.classes sched));
+    class_count = (fun () -> reg.live);
     find_id =
       (fun name -> Option.map Hfsc.id (Hfsc.find_class sched name));
     cls_name = (fun id -> Hfsc.name (get "cls_name" id));
@@ -536,7 +557,7 @@ let of_hfsc ~link_rate sched =
         Hfsc.set_drop_hook sched (fun now cls pkt -> hook now (Hfsc.id cls) pkt));
     enqueue =
       (fun ~now id pkt ->
-        match !byid.(id) with
+        match reg.slots.(id) with
         | Some cls -> Hfsc.enqueue sched ~now cls pkt
         | None -> invalid_arg (dead_class "enqueue"));
     dequeue;
@@ -544,31 +565,20 @@ let of_hfsc ~link_rate sched =
     next_ready = (fun ~now -> Hfsc.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hfsc.backlog_pkts sched);
     backlog_bytes = (fun () -> Hfsc.backlog_bytes sched);
-    audit = (fun () -> Hfsc.audit sched @ ledger_audit ());
+    audit =
+      (fun () ->
+        Hfsc.audit sched
+        @ registry_audit reg (List.length (Hfsc.classes sched))
+        @ ledger_audit ());
   }
 
 (* --- hierarchical round-robin over the record ------------------------ *)
 
 let of_hls ~link_rate sched =
-  let byid = ref (Array.make 16 None) in
-  let put cls =
-    let id = Hls.id cls in
-    let n = Array.length !byid in
-    if id >= n then begin
-      let bigger = Array.make (max (id + 1) (2 * n)) None in
-      Array.blit !byid 0 bigger 0 n;
-      byid := bigger
-    end;
-    !byid.(id) <- Some cls
-  in
+  let reg = registry () in
+  let put cls = register reg (Hls.id cls) cls in
   List.iter put (Hls.classes sched);
-  let get op id =
-    if id < 0 || id >= Array.length !byid then invalid_arg (dead_class op)
-    else
-      match Array.unsafe_get !byid id with
-      | Some c -> c
-      | None -> invalid_arg (dead_class op)
-  in
+  let get = lookup reg in
   let ( let* ) = Result.bind in
   let no_curves ~name (p : params) =
     if p.rsc <> None || p.fsc <> None || p.usc <> None then
@@ -644,7 +654,7 @@ let of_hls ~link_rate sched =
     let cls = get "remove_class" id in
     match Hls.remove_class sched cls with
     | () ->
-        !byid.(id) <- None;
+        unregister reg id;
         Ok ()
     | exception Invalid_argument e -> of_invalid e
   in
@@ -680,6 +690,7 @@ let of_hls ~link_rate sched =
     raw_hls = Some sched;
     out;
     class_ids = (fun () -> List.map Hls.id (Hls.classes sched));
+    class_count = (fun () -> reg.live);
     find_id = (fun name -> Option.map Hls.id (Hls.find_class sched name));
     cls_name = (fun id -> Hls.name (get "cls_name" id));
     parent_id =
@@ -723,7 +734,7 @@ let of_hls ~link_rate sched =
         Hls.set_drop_hook sched (fun now cls pkt -> hook now (Hls.id cls) pkt));
     enqueue =
       (fun ~now id pkt ->
-        match !byid.(id) with
+        match reg.slots.(id) with
         | Some cls -> Hls.enqueue sched ~now cls pkt
         | None -> invalid_arg (dead_class "enqueue"));
     dequeue;
@@ -731,5 +742,7 @@ let of_hls ~link_rate sched =
     next_ready = (fun ~now -> Hls.next_ready_time sched ~now);
     backlog_pkts = (fun () -> Hls.backlog_pkts sched);
     backlog_bytes = (fun () -> Hls.backlog_bytes sched);
-    audit = (fun () -> Hls.audit sched);
+    audit =
+      (fun () ->
+        Hls.audit sched @ registry_audit reg (List.length (Hls.classes sched)));
   }

@@ -132,6 +132,7 @@ type t = {
   raw_hls : Sched.Hls.t option;
   out : out;  (** filled by [dequeue] when it returns [true] *)
   class_ids : unit -> int list;  (** creation order, root first *)
+  class_count : unit -> int;  (** [List.length (class_ids ())], in O(1) *)
   find_id : string -> int option;
   cls_name : int -> string;
   parent_id : int -> int option;  (** [None] for the root *)

@@ -459,14 +459,16 @@ let run ?clock ?backlog ?(idle = fun () -> true) ?idle_every ?(sigterm = true)
 (* --- client ---------------------------------------------------------- *)
 
 module Client = struct
-  type conn = { fd : Unix.file_descr; mutable buf : string }
+  (* [buf] holds what was read past the last reply consumed; [chunk] is
+     the reused read buffer *)
+  type conn = { fd : Unix.file_descr; mutable buf : string; chunk : Bytes.t }
 
   exception Timeout
 
   let connect_once path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> { fd; buf = "" }
+    | () -> { fd; buf = ""; chunk = Bytes.create 65536 }
     | exception e ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e
@@ -494,13 +496,18 @@ module Client = struct
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable c deadline
 
-  let refill ?deadline c =
+  (* Read what has arrived into [into] at [off], at most [len] bytes;
+     0 after EINTR. *)
+  let read_some ?deadline c into off len =
     (match deadline with None -> () | Some d -> wait_readable c d);
-    let b = Bytes.create 65536 in
-    match Unix.read c.fd b 0 (Bytes.length b) with
+    match Unix.read c.fd into off len with
     | 0 -> raise End_of_file
-    | n -> c.buf <- c.buf ^ Bytes.sub_string b 0 n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | n -> n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
+
+  let refill ?deadline c =
+    let n = read_some ?deadline c c.chunk 0 (Bytes.length c.chunk) in
+    c.buf <- c.buf ^ Bytes.sub_string c.chunk 0 n
 
   let rec read_line ?deadline c =
     match String.index_opt c.buf '\n' with
@@ -512,15 +519,25 @@ module Client = struct
         refill ?deadline c;
         read_line ?deadline c
 
-  let rec read_exact ?deadline c n =
-    if String.length c.buf >= n then begin
+  (* A body longer than what is buffered is read straight into its own
+     bytes: growing [buf] chunk by chunk would copy a large reply (a
+     stats-json document) quadratically. *)
+  let read_exact ?deadline c n =
+    let have = String.length c.buf in
+    if have >= n then begin
       let s = String.sub c.buf 0 n in
-      c.buf <- String.sub c.buf n (String.length c.buf - n);
+      c.buf <- String.sub c.buf n (have - n);
       s
     end
     else begin
-      refill ?deadline c;
-      read_exact ?deadline c n
+      let b = Bytes.create n in
+      Bytes.blit_string c.buf 0 b 0 have;
+      c.buf <- "";
+      let off = ref have in
+      while !off < n do
+        off := !off + read_some ?deadline c b !off (n - !off)
+      done;
+      Bytes.unsafe_to_string b
     end
 
   let request ?timeout c line =

@@ -31,6 +31,16 @@ let errf = Backend.errf
 
 exception Audit_failure of string list
 
+(* The pieces of the configuration fingerprint's text, each kept until
+   a write could change it ([None] = render on the next read). *)
+type memo = {
+  lines : (int, string) Hashtbl.t; (* class id -> its line *)
+  agg : string option ref;
+  flow_sec : string option ref;
+  filter_sec : string option ref;
+  digest : string option ref; (* the link's hex digest *)
+}
+
 type t = {
   be : Backend.t;
   link_rate : float;
@@ -44,6 +54,7 @@ type t = {
   mutable table : Classify.Rules.t;
   audit_every : int; (* <= 0 disables the periodic invariant audit *)
   mutable ops : int; (* ops since the last audit *)
+  memo : memo;
 }
 
 let map_flow t flow id =
@@ -69,6 +80,14 @@ let create_backend ?trace_capacity ?tracing ?(audit_every = 0)
       table = Classify.Rules.create [];
       audit_every;
       ops = 0;
+      memo =
+        {
+          lines = Hashtbl.create 16;
+          agg = ref None;
+          flow_sec = ref None;
+          filter_sec = ref None;
+          digest = ref None;
+        };
     }
   in
   List.iter (announce t) (be.Backend.class_ids ());
@@ -119,6 +138,8 @@ let flow_class t flow = Hashtbl.find_opt t.flows flow
 let flows t =
   Hashtbl.fold (fun f _ acc -> f :: acc) t.flows [] |> List.sort compare
 
+let flow_count t = Hashtbl.length t.flows
+
 let rules t = t.table
 
 let has_filter t flow =
@@ -134,6 +155,7 @@ let filter_count t = List.length t.filters
 (* --- generic class views (any backend) ------------------------------ *)
 
 let class_ids t = t.be.Backend.class_ids ()
+let class_count t = t.be.Backend.class_count ()
 let class_name t id = t.be.Backend.cls_name id
 let class_queue_length t id = t.be.Backend.queue_length id
 let class_queue_bytes t id = t.be.Backend.queue_bytes id
@@ -141,6 +163,200 @@ let find_class_id t name = t.be.Backend.find_id name
 let next_ready_time t ~now = t.be.Backend.next_ready ~now
 let backlog_pkts t = t.be.Backend.backlog_pkts ()
 let backlog_bytes t = t.be.Backend.backlog_bytes ()
+
+(* --- the configuration fingerprint ---------------------------------- *)
+
+(* The text is a rate line, one line per class in creation order, the
+   [agg] line, the flow section and the filter section. These render
+   functions are its only renderer: [config_fingerprint] serves their
+   memoized output and [audit] compares the memo with them. Floats are
+   rendered with %h (exact). The hfsc text is byte-identical to the
+   pre-interface engine; rr links stamp their backend on the rate line
+   and a quantum per class. *)
+
+let render_rate t =
+  match t.be.Backend.kind with
+  | Backend.Hfsc_kind -> Printf.sprintf "rate %h\n" t.link_rate
+  | Backend.Rr_kind -> Printf.sprintf "rate %h backend rr\n" t.link_rate
+
+let render_class t id =
+  let be = t.be in
+  let b = Buffer.create 128 in
+  let pf fmt = Printf.bprintf b fmt in
+  pf "class %S parent %s leaf %b" (be.Backend.cls_name id)
+    (match be.Backend.parent_id id with
+    | Some p -> Printf.sprintf "%S" (be.Backend.cls_name p)
+    | None -> "-")
+    (be.Backend.is_leaf id);
+  (match be.Backend.kind with
+  | Backend.Hfsc_kind ->
+      let curve tag = function
+        | None -> pf " %s -" tag
+        | Some (s : Sc.t) -> pf " %s %h/%h/%h" tag s.Sc.m1 s.Sc.d s.Sc.m2
+      in
+      curve "rsc" (be.Backend.rsc id);
+      curve "fsc" (be.Backend.fsc id);
+      curve "usc" (be.Backend.usc id)
+  | Backend.Rr_kind -> (
+      match be.Backend.quantum id with
+      | Some q -> pf " quantum %d" q
+      | None -> ()));
+  if be.Backend.is_leaf id then
+    pf " qlimit %d qbytes %d"
+      (be.Backend.queue_limit_pkts id)
+      (be.Backend.queue_limit_bytes id);
+  pf "\n";
+  Buffer.contents b
+
+let render_agg t =
+  let be = t.be in
+  Printf.sprintf "agg %d %d %s\n"
+    (be.Backend.aggregate_pkts ())
+    (be.Backend.aggregate_bytes ())
+    (match be.Backend.policy () with
+    | Hfsc.Tail_drop -> "tail"
+    | Hfsc.Drop_longest -> "longest")
+
+let render_flows t =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun f ->
+      Printf.bprintf b "flow %d -> %S\n" f
+        (t.be.Backend.cls_name (Hashtbl.find t.flows f)))
+    (flows t);
+  Buffer.contents b
+
+let render_filters t =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (f, _) ->
+      Printf.bprintf b "filter %s\n"
+        (Format.asprintf "%a" Command.pp
+           { Command.target = Command.Default_link; op = Command.Attach_filter f }))
+    t.filters;
+  Buffer.contents b
+
+let memoized cell render =
+  match !cell with
+  | Some s -> s
+  | None ->
+      let s = render () in
+      cell := Some s;
+      s
+
+(* The text, taking each class line from [line] and each section from
+   [section]: the memo's pieces, or fresh renders. *)
+let fingerprint_text t ~line ~section =
+  let m = t.memo in
+  String.concat ""
+    ((render_rate t :: List.map line (t.be.Backend.class_ids ()))
+    @ [
+        section m.agg render_agg;
+        section m.flow_sec render_flows;
+        section m.filter_sec render_filters;
+      ])
+
+let digest_of text = Digest.to_hex (Digest.string text)
+
+let fresh_digest t =
+  digest_of
+    (fingerprint_text t ~line:(render_class t) ~section:(fun _ render ->
+         render t))
+
+(* Digest of the control-plane configuration only — everything a
+   checkpoint persists and nothing it doesn't. Must NOT fold in
+   virtual times, backlog or telemetry: recovery drops in-flight
+   packets by design, and "recovered state == replay oracle" is
+   judged by this digest. Served from the memo: only the pieces a
+   write dropped are rendered again. *)
+let config_fingerprint t =
+  let m = t.memo in
+  let line id =
+    match Hashtbl.find_opt m.lines id with
+    | Some l -> l
+    | None ->
+        let l = render_class t id in
+        Hashtbl.replace m.lines id l;
+        l
+  in
+  memoized m.digest (fun () ->
+      digest_of
+        (fingerprint_text t ~line ~section:(fun cell render ->
+             memoized cell (fun () -> render t))))
+
+(* Every memo entry must equal what the renderers produce now. *)
+let memo_audit t =
+  let m = t.memo in
+  let live = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace live id ()) (t.be.Backend.class_ids ());
+  let lines =
+    Hashtbl.fold
+      (fun id l acc ->
+        if not (Hashtbl.mem live id) then
+          Printf.sprintf "fingerprint memo holds a line for removed class id %d"
+            id
+          :: acc
+        else if l <> render_class t id then
+          Printf.sprintf "fingerprint memo: stale line for class %S"
+            (t.be.Backend.cls_name id)
+          :: acc
+        else acc)
+      m.lines []
+    |> List.sort compare
+  in
+  let section what cell render =
+    match !cell with
+    | Some s when s <> render t ->
+        [ Printf.sprintf "fingerprint memo: stale %s" what ]
+    | _ -> []
+  in
+  lines
+  @ section "agg line" m.agg render_agg
+  @ section "flow section" m.flow_sec render_flows
+  @ section "filter section" m.filter_sec render_filters
+  @ section "digest" m.digest fresh_digest
+
+(* A write only drops what it could change, before it runs, whether it
+   is then accepted or refused: nothing is rendered on the write path.
+   Class names and parents never change and ids are never reused, so a
+   class line depends only on that class's curves/quantum and limits
+   and on whether it is a leaf (which its children change). *)
+let forget t (op : Command.op) =
+  let m = t.memo in
+  let drop id = Hashtbl.remove m.lines id in
+  (* a device built without reading its fingerprint holds no lines:
+     skip the name lookups *)
+  let drop_named name =
+    if Hashtbl.length m.lines > 0 then
+      Option.iter drop (t.be.Backend.find_id name)
+  in
+  let mutating =
+    match op with
+    | Add_class { parent; flow; _ } ->
+        drop_named parent;
+        if flow <> None then m.flow_sec := None;
+        true
+    | Modify_class { name; _ } ->
+        drop_named name;
+        true
+    | Delete_class name ->
+        if Hashtbl.length m.lines > 0 || !(m.flow_sec) <> None then
+          Option.iter
+            (fun id ->
+              drop id;
+              Option.iter drop (t.be.Backend.parent_id id);
+              if Hashtbl.mem t.class_flows id then m.flow_sec := None)
+            (t.be.Backend.find_id name);
+        true
+    | Attach_filter _ | Detach_filter _ ->
+        m.filter_sec := None;
+        true
+    | Set_limit _ ->
+        m.agg := None;
+        true
+    | Stats _ | Trace _ | Link_add _ | Link_delete _ | Link_list -> false
+  in
+  if mutating then m.digest := None
 
 (* --- invariant auditor --------------------------------------------- *)
 
@@ -171,7 +387,7 @@ let audit t =
     Hashtbl.fold (fun _ fs n -> n + List.length fs) t.class_flows 0
     <> Hashtbl.length t.flows
   then errs := "reverse index and flow map differ in size" :: !errs;
-  t.be.Backend.audit () @ List.rev !errs
+  t.be.Backend.audit () @ List.rev !errs @ memo_audit t
 
 let maybe_audit t =
   if t.audit_every > 0 then begin
@@ -416,6 +632,7 @@ let stats_text t ?cls () =
 
 let exec_op_unmapped t ~now op =
   ignore now;
+  forget t op;
   let text r = Result.map (fun s -> (s, [])) r in
   let r =
     match (op : Command.op) with
@@ -467,7 +684,7 @@ let exec_script ?(lenient = false) t cmds =
   in
   go [] cmds
 
-(* --- checkpoint & config fingerprint ------------------------------- *)
+(* --- checkpoint ------------------------------------------------------ *)
 
 (* Smallest flow id mapped to [id], if any (the reverse index keeps
    each class's flows ascending). A class grown through the command
@@ -538,64 +755,6 @@ let checkpoint_ops t =
     List.map (fun (f, _) -> Command.Attach_filter f) t.filters
   in
   class_ops @ (limit_op :: filter_ops)
-
-(* Digest of the control-plane configuration only — everything a
-   checkpoint persists and nothing it doesn't. Must NOT fold in
-   virtual times, backlog or telemetry: recovery drops in-flight
-   packets by design, and "recovered state == replay oracle" is
-   judged by this digest. Floats are rendered with %h (exact). The
-   hfsc text is byte-identical to the pre-interface engine; rr links
-   stamp their backend on the rate line and a quantum per class. *)
-let config_fingerprint t =
-  let be = t.be in
-  let b = Buffer.create 512 in
-  let pf fmt = Printf.bprintf b fmt in
-  (match be.Backend.kind with
-  | Backend.Hfsc_kind -> pf "rate %h\n" t.link_rate
-  | Backend.Rr_kind -> pf "rate %h backend rr\n" t.link_rate);
-  List.iter
-    (fun id ->
-      pf "class %S parent %s leaf %b" (be.Backend.cls_name id)
-        (match be.Backend.parent_id id with
-        | Some p -> Printf.sprintf "%S" (be.Backend.cls_name p)
-        | None -> "-")
-        (be.Backend.is_leaf id);
-      (match be.Backend.kind with
-      | Backend.Hfsc_kind ->
-          let curve tag = function
-            | None -> pf " %s -" tag
-            | Some (s : Sc.t) -> pf " %s %h/%h/%h" tag s.Sc.m1 s.Sc.d s.Sc.m2
-          in
-          curve "rsc" (be.Backend.rsc id);
-          curve "fsc" (be.Backend.fsc id);
-          curve "usc" (be.Backend.usc id)
-      | Backend.Rr_kind -> (
-          match be.Backend.quantum id with
-          | Some q -> pf " quantum %d" q
-          | None -> ()));
-      if be.Backend.is_leaf id then
-        pf " qlimit %d qbytes %d"
-          (be.Backend.queue_limit_pkts id)
-          (be.Backend.queue_limit_bytes id);
-      pf "\n")
-    (be.Backend.class_ids ());
-  pf "agg %d %d %s\n"
-    (be.Backend.aggregate_pkts ())
-    (be.Backend.aggregate_bytes ())
-    (match be.Backend.policy () with
-    | Hfsc.Tail_drop -> "tail"
-    | Hfsc.Drop_longest -> "longest");
-  List.iter
-    (fun f ->
-      pf "flow %d -> %S\n" f (be.Backend.cls_name (Hashtbl.find t.flows f)))
-    (flows t);
-  List.iter
-    (fun (f, _) ->
-      pf "filter %s\n"
-        (Format.asprintf "%a" Command.pp
-           { Command.target = Command.Default_link; op = Command.Attach_filter f }))
-    t.filters;
-  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* --- the data path -------------------------------------------------- *)
 

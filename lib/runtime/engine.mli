@@ -143,7 +143,10 @@ val backend : t -> Backend.t
 val backend_kind : t -> Backend.kind
 
 val scheduler : t -> Hfsc.t
-(** The wrapped {!Hfsc.t} — the escape hatch for hfsc-only consumers.
+(** The wrapped {!Hfsc.t} — the escape hatch for hfsc-only consumers,
+    which may read it and drive its data path. Changing its
+    configuration (classes, curves, limits) bypasses {!exec} and leaves
+    {!config_fingerprint}'s memo stale, which {!audit} reports.
     @raise Invalid_argument on a non-hfsc backend. *)
 
 val snapshot : t -> Telemetry.snapshot
@@ -168,6 +171,9 @@ val flow_class : t -> int -> int option
 val flows : t -> int list
 (** All currently mapped flow ids, ascending. *)
 
+val flow_count : t -> int
+(** [List.length (flows t)], in O(1). *)
+
 val rules : t -> Classify.Rules.t
 (** The compiled filter table, rebuilt after every attach/detach — a
     router shards over these per-link tables (see {!Classify.Shard}). *)
@@ -186,6 +192,9 @@ val filter_count : t -> int
 
 val class_ids : t -> int list
 (** Creation order, root first. *)
+
+val class_count : t -> int
+(** [List.length (class_ids t)], in O(1). *)
 
 val class_name : t -> int -> string
 val class_queue_length : t -> int -> int
@@ -217,7 +226,18 @@ val config_fingerprint : t -> string
     control planes are identical; it deliberately excludes virtual
     times, backlog and telemetry so a recovered engine can be compared
     against a replay oracle even though neither holds the pre-crash
-    packets. *)
+    packets.
+
+    {b Memoized.} The engine keeps the digested text in pieces — one
+    line per class, the aggregate-limit line, the flow section, the
+    filter section — and the digest itself. {!exec_op_unmapped} drops,
+    before every mutating op runs (accepted or refused), exactly the
+    pieces that op can change; a fingerprint renders only what is
+    missing, so a read after a one-class write costs one line plus the
+    hash. The text, and so the digest, is byte-identical to a fresh
+    render of every piece, which {!audit} checks piece by piece. The contract
+    this rests on: the configuration changes only through {!exec}
+    (and {!exec_op}/{!exec_op_unmapped}). *)
 
 val exec_op : t -> now:float -> Command.op -> (string, error) result
 (** Execute one operation at time [now], ignoring link addressing —
@@ -259,8 +279,9 @@ val exec_script :
 
 val audit : t -> string list
 (** The backend's own audit (e.g. {!Hfsc.audit}) plus the engine's
-    invariants (every mapped flow points at a live leaf). Empty means
-    healthy. *)
+    invariants: every mapped flow points at a live leaf, and every
+    piece of {!config_fingerprint}'s memo equals a fresh render (no
+    line kept for a removed class). Empty means healthy. *)
 
 (** {2 The data path} — thin allocation-free wrappers over the backend
     that keep telemetry. *)

@@ -266,14 +266,17 @@ let header_bytes magic =
   Bytes.set_int32_le b 12 0l;
   b
 
-let frame payload =
+let add_frame b payload =
   let len = String.length payload in
   if len > max_payload then invalid_arg "Journal: payload too long";
-  let b = Bytes.create (frame_size + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (crc32 payload);
-  Bytes.blit_string payload 0 b frame_size len;
-  b
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_int32_le b (crc32 payload);
+  Buffer.add_string b payload
+
+let frame payload =
+  let b = Buffer.create (frame_size + String.length payload) in
+  add_frame b payload;
+  Buffer.to_bytes b
 
 let render ~now cmd =
   Format.asprintf "at %a %a" Command.pp_float now Command.pp cmd
@@ -296,7 +299,14 @@ let fsync_dir dir =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* The whole file is assembled first and handed to the OS in one
+   write: a checkpoint of a large device is thousands of frames. *)
 let write_checkpoint ~dir ~gen ~checkpoint ~digest =
+  let b = Buffer.create 4096 in
+  Buffer.add_bytes b (header_bytes magic_checkpoint);
+  add_frame b (digest_prefix ^ digest);
+  List.iter (fun (now, cmd) -> add_frame b (render ~now cmd)) checkpoint;
+  let bytes = Buffer.to_bytes b in
   let tmp = Filename.concat dir (Printf.sprintf ".checkpoint.%d.tmp" gen) in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
@@ -304,10 +314,7 @@ let write_checkpoint ~dir ~gen ~checkpoint ~digest =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let put b = write_all fd b 0 (Bytes.length b) in
-      put (header_bytes magic_checkpoint);
-      put (frame (digest_prefix ^ digest));
-      List.iter (fun (now, cmd) -> put (frame (render ~now cmd))) checkpoint;
+      write_all fd bytes 0 (Bytes.length bytes);
       Unix.fsync fd);
   Sys.rename tmp (checkpoint_path dir gen);
   fsync_dir dir

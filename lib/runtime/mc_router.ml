@@ -191,16 +191,7 @@ let serve_query eng q =
   match q with
   | Q_flows -> R_flows (Engine.flows eng)
   | Q_rules -> R_rules (Engine.rules eng)
-  | Q_info ->
-      R_info
-        {
-          Router_core.i_rate = Engine.link_rate eng;
-          i_backend = Engine.backend_kind eng;
-          i_classes = List.length (Engine.class_ids eng);
-          i_flows = List.length (Engine.flows eng);
-          i_backlog_pkts = Engine.backlog_pkts eng;
-          i_backlog_bytes = Engine.backlog_bytes eng;
-        }
+  | Q_info -> R_info (Router_core.engine_info eng)
   | Q_audit -> R_strings (Engine.audit eng)
   | Q_snapshot -> R_snapshot (Engine.snapshot eng)
   | Q_stats_text -> R_text (Engine.stats_text eng ())

@@ -13,16 +13,7 @@ let seq_ops : Engine.t Router_core.ops =
     op_flows = Engine.flows;
     op_rules = Engine.rules;
     op_has_filter = Engine.has_filter;
-    op_info =
-      (fun eng ->
-        {
-          Router_core.i_rate = Engine.link_rate eng;
-          i_backend = Engine.backend_kind eng;
-          i_classes = List.length (Engine.class_ids eng);
-          i_flows = List.length (Engine.flows eng);
-          i_backlog_pkts = Engine.backlog_pkts eng;
-          i_backlog_bytes = Engine.backlog_bytes eng;
-        });
+    op_info = Router_core.engine_info;
     op_audit = Engine.audit;
     op_stats_json = Engine.stats_json;
     op_stats_text = (fun eng -> Engine.stats_text eng ());

@@ -23,6 +23,18 @@ type info = {
   i_backlog_bytes : int;
 }
 
+(* [info] of an engine, in O(1): both routers' ports serve it from
+   here. *)
+let engine_info eng =
+  {
+    i_rate = Engine.link_rate eng;
+    i_backend = Engine.backend_kind eng;
+    i_classes = Engine.class_count eng;
+    i_flows = Engine.flow_count eng;
+    i_backlog_pkts = Engine.backlog_pkts eng;
+    i_backlog_bytes = Engine.backlog_bytes eng;
+  }
+
 (* The port operations. All of them are control-plane calls: they may
    block (ring round trip) and may allocate. *)
 type 'p ops = {

@@ -452,6 +452,51 @@ let test_soak_slice () =
   let text = Experiments.Soak.report_text report in
   Alcotest.(check bool) "report renders" true (String.length text > 100)
 
+(* A reply far larger than one socket read (a 1,000-class stats-json
+   document is several 64 KiB chunks) must come back whole, twice in a
+   row, and leave the framing intact for the next request. *)
+let test_large_reply () =
+  let socket = temp ".sock" in
+  let r = mk_router () in
+  for i = 0 to 999 do
+    match
+      R.exec r ~now:0.
+        (Result.get_ok
+           (C.parse
+              (Printf.sprintf "add class c%d parent root flow %d fsc 1Kbit" i i)))
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (E.error_message e)
+  done;
+  let expected = Json_lite.to_string (R.stats_json r) in
+  let d = D.create ~clock:(fun () -> 0.) ~socket (D.backend_of_router r) in
+  let client =
+    Domain.spawn (fun () ->
+        let rec connect tries =
+          match D.Client.connect socket with
+          | conn -> conn
+          | exception Unix.Unix_error _ when tries > 0 ->
+              Unix.sleepf 0.01;
+              connect (tries - 1)
+        in
+        let conn = connect 100 in
+        let a = D.Client.request conn "stats-json" in
+        let b = D.Client.request conn "stats-json" in
+        let p = D.Client.request conn "ping" in
+        ignore (D.Client.request conn "shutdown");
+        D.Client.close conn;
+        (a, b, p))
+  in
+  D.serve d;
+  let a, b, p = Domain.join client in
+  let reply = Alcotest.(result string (pair string string)) in
+  Alcotest.(check bool)
+    "the document spans several reads" true
+    (String.length expected > 4 * 65536);
+  Alcotest.check reply "first stats-json" (Ok expected) a;
+  Alcotest.check reply "second stats-json" (Ok expected) b;
+  Alcotest.check reply "ping after" (Ok "pong") p
+
 let () =
   Alcotest.run "daemon"
     [
@@ -473,6 +518,7 @@ let () =
           Alcotest.test_case "client request timeout" `Quick
             test_client_timeout;
           Alcotest.test_case "client connect retry" `Quick test_connect_retry;
+          Alcotest.test_case "large reply read whole" `Quick test_large_reply;
         ] );
       ( "soak",
         [ Alcotest.test_case "runtest slice is healthy" `Quick test_soak_slice ]

@@ -110,6 +110,10 @@ let run_differential ~domains ~seed ~nops =
         let a = R.exec r ~now cmd in
         let b = M.exec m ~now cmd in
         check_res (Printf.sprintf "exec %S" line) a b;
+        (* read the memoized fingerprints after every command, so the
+           next write lands on a warm memo the per-op audits check *)
+        if R.config_fingerprint r <> M.config_fingerprint m then
+          fail "seed %d: config fingerprints diverge after %S" seed line;
         Some cmd
   in
   List.iter

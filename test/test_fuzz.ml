@@ -293,11 +293,18 @@ let router_fuzz ~seed ~nops =
                   with Failure m ->
                     fail "seed %d: %s: %s\n%s" seed line m (Lazy.force dump));
                  let before = router_fingerprint r in
+                 (* the memoized digest is read before every command, so
+                    each write lands on a warm memo the audit below
+                    checks *)
+                 let config_before = R.config_fingerprint r in
                  (match R.exec r ~now:!now cmd with
                  | Ok _ -> incr applied
                  | Error _ ->
                      incr rejected;
-                     if router_fingerprint r <> before then
+                     if
+                       router_fingerprint r <> before
+                       || R.config_fingerprint r <> config_before
+                     then
                        fail
                          "seed %d: rejected router command mutated state: \
                           %s\n%s"

@@ -536,6 +536,43 @@ let test_replay_through_disk () =
         (R.config_fingerprint a) (R.config_fingerprint fresh));
   rm_dir dir
 
+(* A checkpoint is written as one assembled buffer; its bytes must be
+   exactly those of the per-frame layout: header, the digest frame,
+   then one frame per command. The device is large enough that the file
+   spans more than one 64 KiB chunk of a write. *)
+let test_checkpoint_bytes () =
+  let r = R.create () in
+  exec_strict ~what:"device" (R.exec r)
+    (parse_script
+       (String.concat "\n"
+          ("link add h rate 1Gbit" :: "link add b rate 1Gbit backend rr"
+          :: List.concat
+               (List.init 800 (fun i ->
+                    [
+                      Printf.sprintf "link h add class c%d parent root flow %d fsc 10Kbit" i i;
+                      Printf.sprintf "link b add class q%d parent root flow %d quantum 1500" i
+                        (10_000 + i);
+                    ])))));
+  let per_frame ~digest checkpoint =
+    header "HFSCCKPT"
+    ^ good_frame ("#digest " ^ digest)
+    ^ String.concat "" (List.map (fun (now, cmd) -> good_frame (render ~now cmd)) checkpoint)
+  in
+  let dir = temp ".state" in
+  let ckpt = R.checkpoint r and digest = R.config_fingerprint r in
+  let w = J.start ~dir ~generation:0 ~checkpoint:ckpt ~digest in
+  let file = read_bytes (Filename.concat dir "checkpoint.0") in
+  Alcotest.(check bool) "spans more than one 64 KiB chunk" true (String.length file > 65536);
+  Alcotest.(check string) "start: checkpoint bytes" (per_frame ~digest ckpt) file;
+  exec_strict ~what:"rotation" (R.exec r) (parse_script "link h delete class c7");
+  let ckpt = R.checkpoint r and digest = R.config_fingerprint r in
+  J.rotate w ~checkpoint:ckpt ~digest;
+  Alcotest.(check string)
+    "rotate: checkpoint bytes" (per_frame ~digest ckpt)
+    (read_bytes (Filename.concat dir "checkpoint.1"));
+  J.close w;
+  rm_dir dir
+
 let () =
   Alcotest.run "journal"
     [
@@ -544,6 +581,8 @@ let () =
           Alcotest.test_case "writer round-trip, digest, recovery" `Quick
             test_writer_roundtrip;
           Alcotest.test_case "rotation" `Quick test_rotation;
+          Alcotest.test_case "checkpoint = per-frame bytes" `Quick
+            test_checkpoint_bytes;
           journal_roundtrip;
         ] );
       ( "crash",
